@@ -3,8 +3,7 @@
 Two implementations live side by side: vectorized numpy and numba-jitted
 loops.  The active set is picked once at import time; set
 ``SPARSEAGG_NUMBA=0`` to force the pure-numpy path (useful on machines
-without a working numba, and for benchmarking one against the other with
-``benchmarks/bench_kernels.py``).
+without a working numba).
 
 Matrix multiplies stay in numpy/BLAS either way; only the gather/scatter
 loops benefit from jitting.
@@ -221,8 +220,8 @@ def maxpool_backward_numba(grad, arg, x_shape, kernel, stride, padding):
 #
 # Stride-1 patch gather/scatter reduces to contiguous row copies, which
 # numpy's C memmove path does faster than the jitted loop; strided patches
-# and max-pool argmax routing are where the jit wins (see
-# benchmarks/bench_kernels.py).  The accelerated mode routes accordingly.
+# and max-pool argmax routing are where the jit wins.  The accelerated mode
+# routes accordingly.
 
 _USE_NUMBA = HAS_NUMBA and _numba_requested()
 

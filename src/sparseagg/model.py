@@ -37,9 +37,6 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "aggnet-checkpoint-v1"
 
-_AGG_OPS = {"sum": "sum", "concat": "concat", "average": "average"}
-
-
 @dataclass
 class ForwardStats:
     """Activation liveness counters collected during one forward pass."""
@@ -116,7 +113,7 @@ class Network:
         return T.relu(self._bn(f"{prefix}.bn1", x, training))
 
     def _aggregate(self, cache: dict[int, Tensor], preds: tuple[int, ...]) -> Tensor:
-        return T.aggregate(_AGG_OPS[self.spec.family], [cache[p] for p in preds])
+        return T.aggregate(self.spec.family, [cache[p] for p in preds])
 
     # -- forward ------------------------------------------------------------
 
@@ -272,6 +269,13 @@ def save_checkpoint(net: Network, directory, epoch: int = 0, extra: dict | None 
         fh.write("\n")
 
 
+def _load_tensor(directory, name: str, shape: tuple) -> np.ndarray:
+    arr = T.load_array(os.path.join(directory, name))
+    if arr.shape != shape:
+        raise CheckpointError(f"checkpoint tensor {name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[Network, dict]:
     """Rebuild a network bit-exactly from ``save_checkpoint`` output."""
     path = os.path.join(directory, "manifest.json")
@@ -295,17 +299,15 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
     if sorted(net.params) != manifest["params"]:
         raise CheckpointError("checkpoint parameter list does not match the compiled network")
     for name, p in net.params.items():
-        arr = T.load_array(os.path.join(directory, name))
-        if arr.shape != p.data.shape:
-            raise CheckpointError(f"checkpoint tensor {name} has shape {arr.shape}, "
-                                  f"expected {p.data.shape}")
-        p.data = arr.astype(net.dtype, copy=False)
+        p.data = _load_tensor(directory, name, p.data.shape).astype(net.dtype, copy=False)
     for name, st in net.bn_states.items():
         meta = manifest["bn_states"].get(name)
         if meta is None:
             raise CheckpointError(f"checkpoint is missing batch-norm state {name}")
-        st.running_mean = T.load_array(os.path.join(directory, f"{name}.running_mean")).astype(net.dtype)
-        st.running_var = T.load_array(os.path.join(directory, f"{name}.running_var")).astype(net.dtype)
+        st.running_mean = _load_tensor(directory, f"{name}.running_mean",
+                                       st.running_mean.shape).astype(net.dtype)
+        st.running_var = _load_tensor(directory, f"{name}.running_var",
+                                      st.running_var.shape).astype(net.dtype)
         st.steps = int(meta["steps"])
         st.eps = float(meta["eps"])
         st.momentum = float(meta["momentum"])

@@ -2,8 +2,17 @@
 
 Layout conventions: activations are NCHW, conv kernels OIHW, linear weights
 (in, out).  Tensors are float32 or float64; float64 is used by the gradient
-checker.  No op mutates its inputs; ``backward`` accumulates into ``.grad``
-with ``+=`` and leaves it in place until the caller zeroes it.
+checker.  No op mutates its inputs; ``backward`` accumulates into the
+``.grad`` of leaf tensors and leaves it in place until the caller zeroes it.
+
+Retention rule: a backward closure keeps the op's inputs, its own output
+(relu) and per-channel statistics, never a derived full-size buffer.  Conv
+rebuilds its im2col patch matrix (9x its input) in backward, and batch
+norm rebuilds ``xhat`` from its input, mean and inverse std.  The graph
+already holds every op's input and output, so what a training step keeps
+alive between forward and backward is the activations themselves.  The
+only derived arrays kept are output-sized ones: max-pool argmax indices
+and softmax probabilities.
 
 Set ``SPARSEAGG_DEBUG=1`` (or call ``set_debug(True)``) to assert every op
 output is finite and to warn when batch norm is evaluated before any
@@ -13,6 +22,7 @@ training step has populated its running statistics.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import NonFiniteError
+from .errors import CheckpointError, NonFiniteError
 
 __all__ = [
     "Tensor",
@@ -93,11 +103,18 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g, casting="same_kind")
+        else:
+            self.grad += g
 
     def backward(self, grad: np.ndarray | None = None, free_graph: bool = True) -> None:
-        """Reverse-mode sweep from this tensor through recorded ops."""
+        """Reverse-mode sweep from this tensor through recorded ops.
+
+        With ``free_graph`` each op's closure, parent links and gradient are
+        dropped as soon as its backward has run, so activations are freed
+        during the sweep; leaf tensors (parameters, inputs) keep ``.grad``.
+        """
         if not self.requires_grad:
             raise ValueError("backward on a tensor that does not require grad")
         if grad is None:
@@ -120,12 +137,14 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         self.accumulate_grad(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 if free_graph:
                     node._backward = None
                     node._parents = ()
+                    node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -175,40 +194,53 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         )
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wdt + 2 * padding - kw) // stride + 1
+    xd = x.data
 
     if kh == 1 and kw == 1 and stride == 1 and padding == 0:
         w2d = w.data.reshape(o, c)
-        xc = x.data.transpose(1, 0, 2, 3).reshape(c, -1)
-        out = (w2d @ xc).reshape(o, n, h, wdt).transpose(1, 0, 2, 3)
+        out = (w2d @ _channel_major(xd)).reshape(o, n, h, wdt).transpose(1, 0, 2, 3)
 
         def backward_1x1(g):
             gc = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, -1)
             if w.requires_grad:
-                w.accumulate_grad((gc @ xc.T).reshape(w.data.shape))
+                w.accumulate_grad((gc @ _channel_major(xd).T).reshape(w.data.shape))
             if x.requires_grad:
                 dxc = w2d.T @ gc
                 x.accumulate_grad(dxc.reshape(c, n, h, wdt).transpose(1, 0, 2, 3))
 
         return _result(np.ascontiguousarray(out), (x, w), backward_1x1, "conv2d")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    xp_shape = xp.shape
-    cols = K.im2col(xp, kh, kw, stride, oh, ow)
+    xp_shape = (n, c, h + 2 * padding, wdt + 2 * padding)
     w2d = w.data.reshape(o, -1)
-    out = (w2d @ cols).reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
+    out = w2d @ K.im2col(_pad(xd, padding), kh, kw, stride, oh, ow)
+    out = out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
 
     def backward(g):
         g2d = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, -1)
         if w.requires_grad:
+            cols = K.im2col(_pad(xd, padding), kh, kw, stride, oh, ow)
             w.accumulate_grad(np.ascontiguousarray((cols @ g2d.T).T).reshape(w.data.shape))
+            del cols
         if x.requires_grad:
             dcols = w2d.T @ g2d
             dxp = K.col2im(dcols, xp_shape, kh, kw, stride, oh, ow)
+            del dcols
             if padding:
                 dxp = dxp[:, :, padding:padding + h, padding:padding + wdt]
             x.accumulate_grad(dxp)
 
     return _result(np.ascontiguousarray(out), (x, w), backward, "conv2d")
+
+
+def _channel_major(x: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) -> (C, N*H*W), the GEMM operand of a 1x1 conv."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    if not padding:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,49 +279,52 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         raise ValueError(f"batch_norm parameter shape mismatch for {c} channels")
     g4 = gamma.data.reshape(1, c, 1, 1)
     b4 = beta.data.reshape(1, c, 1, 1)
+    xd = x.data
+    count = xd.shape[0] * xd.shape[2] * xd.shape[3]
 
     if training:
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mu = xd.mean(axis=(0, 2, 3))
+        out = xd - mu.reshape(1, c, 1, 1)
+        var = np.einsum("nchw,nchw->c", out, out) / count
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.running_var.dtype)
         state.steps += 1
-        inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-        out = g4 * xhat + b4
-        count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+    else:
+        if state.steps == 0 and _DEBUG:
+            warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
+                          RuntimeWarning, stacklevel=2)
+        mu, var = state.running_mean, state.running_var
+        out = xd - mu.reshape(1, c, 1, 1)
+    inv4 = (1.0 / np.sqrt(var + state.eps)).reshape(1, c, 1, 1)
+    # The centred buffer becomes xhat, then gamma * xhat + beta, in place.
+    out *= inv4
+    out *= g4
+    out += b4
 
-        def backward_train(g):
-            if beta.requires_grad:
-                beta.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            if gamma.requires_grad:
-                gamma.accumulate_grad((g * xhat).sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                dxhat = g * g4
-                s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                dx = (inv.reshape(1, c, 1, 1) / count) * (count * dxhat - s1 - xhat * s2)
-                x.accumulate_grad(dx.astype(x.data.dtype, copy=False))
-
-        return _result(out.astype(x.data.dtype, copy=False), (x, gamma, beta), backward_train, "batch_norm")
-
-    if state.steps == 0 and _DEBUG:
-        warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
-                      RuntimeWarning, stacklevel=2)
-    inv = 1.0 / np.sqrt(state.running_var + state.eps)
-    xhat = (x.data - state.running_mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out = g4 * xhat + b4
-
-    def backward_eval(g):
+    def backward(g):
+        xhat = xd - mu.reshape(1, c, 1, 1)
+        xhat *= inv4
+        sum_g = np.einsum("nchw->c", g)
+        sum_gx = np.einsum("nchw,nchw->c", g, xhat)
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            beta.accumulate_grad(sum_g)
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            x.accumulate_grad((g * g4 * inv.reshape(1, c, 1, 1)).astype(x.data.dtype, copy=False))
+            gamma.accumulate_grad(sum_gx)
+        if not x.requires_grad:
+            return
+        if not training:
+            x.accumulate_grad(g * (g4 * inv4))
+            return
+        # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat)), built in xhat's buffer
+        dx = xhat
+        dx *= (-sum_gx / count).reshape(1, c, 1, 1)
+        dx += g
+        dx -= (sum_g / count).reshape(1, c, 1, 1)
+        dx *= g4 * inv4
+        x.accumulate_grad(dx)
 
-    return _result(out.astype(x.data.dtype, copy=False), (x, gamma, beta), backward_eval, "batch_norm")
+    return _result(out.astype(xd.dtype, copy=False), (x, gamma, beta), backward, "batch_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +333,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
 def relu(x: Tensor) -> Tensor:
     _check_float(x, "x", "relu")
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0)
+    out = np.maximum(x.data, 0)  # propagates NaN, so a diverged input stays visible
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(np.where(mask, g, 0))
+            x.accumulate_grad(g * (out > 0))
 
-    return _result(out.astype(x.data.dtype, copy=False), (x,), backward, "relu")
+    return _result(out, (x,), backward, "relu")
 
 
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
@@ -487,13 +521,24 @@ def save_array(arr: np.ndarray, base_path) -> None:
 
 
 def load_array(base_path) -> np.ndarray:
+    """Read a ``save_array`` pair; a sidecar that does not describe the bytes raises CheckpointError."""
     base = str(base_path)
     with open(base + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    name = meta["dtype"]
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"unreadable sidecar {base}.json: {exc}") from None
+    name = meta.get("dtype") if isinstance(meta, dict) else None
     if name not in _DTYPE_CODES:
-        raise ValueError(f"unsupported dtype {name} in {base}.json")
+        raise CheckpointError(f"unsupported dtype {name!r} in {base}.json")
+    shape = meta.get("shape")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise CheckpointError(f"shape in {base}.json must be a list of non-negative ints, "
+                              f"got {shape!r}")
     with open(base + ".bin", "rb") as fh:
         raw = fh.read()
-    arr = np.frombuffer(raw, dtype=_DTYPE_CODES[name]).astype(name)
-    return arr.reshape(meta["shape"])
+    expected = math.prod(shape) * np.dtype(_DTYPE_CODES[name]).itemsize
+    if len(raw) != expected:
+        raise CheckpointError(f"{base}.bin holds {len(raw)} bytes; shape {shape} of {name} "
+                              f"needs {expected}")
+    return np.frombuffer(raw, dtype=_DTYPE_CODES[name]).astype(name).reshape(shape)

@@ -5,7 +5,9 @@ import subprocess
 import pytest
 
 from conftest import config_path
+from sparseagg.architecture import load_spec
 from sparseagg.cli import main
+from sparseagg.model import compile_network, save_checkpoint
 
 
 def run_json(out_dir):
@@ -119,6 +121,20 @@ def test_cli_does_not_mutate_inputs(tmp_path, cifar_dir):
           "--out", str(tmp_path)])
     assert open(spec, "rb").read() == spec_before
     assert open(data_file, "rb").read() == data_before
+
+
+@pytest.mark.parametrize("resize", ["truncated", "oversized"])
+def test_checkpoint_tensor_of_wrong_size_exits_1(tmp_path, resize):
+    spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    ckpt = tmp_path / "checkpoint"
+    save_checkpoint(compile_network(spec, seed=0), ckpt)
+    bin_path = ckpt / "stem.conv.bin"
+    raw = bin_path.read_bytes()
+    bin_path.write_bytes(raw[:-3] if resize == "truncated" else raw + bytes(4))
+    code = main(["heatmap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "hm")])
+    assert code == 1
+    record = run_json(tmp_path / "hm")
+    assert record["status"] == "error" and "stem.conv.bin" in record["error"]
 
 
 def test_unknown_flag_exits_1(tmp_path):

@@ -7,7 +7,7 @@ from conftest import config_path
 from sparseagg.architecture import analyze, load_spec
 from sparseagg.errors import CheckpointError
 from sparseagg.model import ForwardStats, compile_network, load_checkpoint, save_checkpoint
-from sparseagg.tensor import softmax_cross_entropy
+from sparseagg.tensor import save_array, softmax_cross_entropy
 from sparseagg.topology import Sparse
 
 CONFIGS_WITH_TOTALS = [
@@ -179,6 +179,18 @@ def test_missing_checkpoint_file_is_reported(tmp_path):
     save_checkpoint(compile_network(spec, seed=0), tmp_path / "ckpt")
     (tmp_path / "ckpt" / "stem.conv.bin").unlink()
     with pytest.raises((CheckpointError, FileNotFoundError)):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("stat", ["running_mean", "running_var"])
+def test_batch_norm_stat_of_wrong_shape_is_rejected(tmp_path, stat):
+    spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    net = compile_network(spec, seed=0)
+    save_checkpoint(net, tmp_path / "ckpt")
+    name, st = next(iter(net.bn_states.items()))
+    wrong = np.zeros(getattr(st, stat).shape[0] + 1, dtype=np.float32)
+    save_array(wrong, tmp_path / "ckpt" / f"{name}.{stat}")
+    with pytest.raises(CheckpointError, match=stat):
         load_checkpoint(tmp_path / "ckpt")
 
 

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sparseagg import _kernels as K
+from sparseagg.errors import CheckpointError
 from sparseagg.gradcheck import check_gradients
 from sparseagg.tensor import (
     BatchNormState,
@@ -140,6 +144,13 @@ def test_batch_norm_eval_uses_running_stats():
 def test_relu_pin():
     out = relu(t64([[-1.0, 0.0, 2.0]])).data
     np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
+
+
+def test_relu_propagates_nan():
+    # a diverged activation must reach the loss check, not be masked to 0
+    out = relu(t64([[np.nan, -1.0, 2.0]])).data
+    assert np.isnan(out[0, 0])
+    np.testing.assert_array_equal(out[0, 1:], [0.0, 2.0])
 
 
 def test_avg_pool_pin():
@@ -298,6 +309,176 @@ def test_backward_needs_scalar_without_seed():
     y = relu(x)
     with pytest.raises(ValueError):
         y.backward()
+
+
+def test_backward_frees_intermediate_gradients():
+    x = t64(np.ones((1, 1, 2, 2)))
+    y = relu(x)
+    weighted_sum(y, np.ones(y.shape)).backward()
+    assert y.grad is None and y._backward is None
+    np.testing.assert_array_equal(x.grad, np.ones((1, 1, 2, 2)))
+
+    x.zero_grad()
+    y = relu(x)
+    weighted_sum(y, np.ones(y.shape)).backward(free_graph=False)
+    np.testing.assert_array_equal(y.grad, np.ones((1, 1, 2, 2)))
+
+
+def test_backward_sweep_releases_activations_as_it_goes():
+    # 16 relus on a 1 MB input: the graph holds 16 MB after forward; a sweep
+    # that kept every node's data and gradient to the end would peak at 32 MB
+    x = Tensor(np.ones((256, 1024), dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = x
+        for _ in range(16):
+            y = relu(y)
+        loss = weighted_sum(y, np.ones(y.shape, dtype=np.float32))
+        del y
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < after_forward + 4 * x.data.nbytes, (peak, after_forward)
+
+
+# ---------------------------------------------------------------------------
+# replaced kernels against the code they replaced
+
+
+def conv_saved_patches(x, w, g, stride, padding):
+    """The former conv2d: forward keeps the im2col patches (or the 1x1 channel-major copy)
+    for backward.  Returns (out, dx, dw) for upstream gradient g."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
+        w2d = w.reshape(o, c)
+        xc = x.transpose(1, 0, 2, 3).reshape(c, -1)
+        out = (w2d @ xc).reshape(o, n, h, wd).transpose(1, 0, 2, 3)
+        gc = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, -1)
+        dw = (gc @ xc.T).reshape(w.shape)
+        dx = (w2d.T @ gc).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
+        return np.ascontiguousarray(out), dx, dw
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    cols = K.im2col(xp, kh, kw, stride, oh, ow)
+    w2d = w.reshape(o, -1)
+    out = (w2d @ cols).reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
+    g2d = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, -1)
+    dw = np.ascontiguousarray((cols @ g2d.T).T).reshape(w.shape)
+    dxp = K.col2im(w2d.T @ g2d, xp.shape, kh, kw, stride, oh, ow)
+    if padding:
+        dxp = dxp[:, :, padding:padding + h, padding:padding + wd]
+    return np.ascontiguousarray(out), dxp, dw
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 1, 0), (3, 2, 1), (1, 1, 0)])
+@pytest.mark.parametrize("seed", range(3))
+def test_conv_matches_saved_patch_reference_bit_for_bit(k, stride, padding, seed):
+    rng = np.random.default_rng(900 + seed)
+    h = 9 if stride == 2 else 8
+    x = rng.standard_normal((3, 5, h, h)).astype(np.float32)
+    w = rng.standard_normal((7, 5, k, k)).astype(np.float32)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = conv2d(xt, wt, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    out.backward(g)
+    ref_out, ref_dx, ref_dw = conv_saved_patches(x, w, g, stride, padding)
+    assert same_bits(out.data, ref_out)
+    assert same_bits(xt.grad, ref_dx)
+    assert same_bits(wt.grad, ref_dw)
+
+
+def test_conv_forward_does_not_retain_patches():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((8, 16, 16, 16)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    patch_bytes = 16 * 9 * 8 * 16 * 16 * 4
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, padding=1)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert live < patch_bytes, (live, patch_bytes)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relu_matches_where_reference(seed):
+    rng = np.random.default_rng(1000 + seed)
+    x = rng.standard_normal((4, 6, 5, 5)).astype(np.float32)
+    x.flat[::7] = 0.0
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    xt = Tensor(x, requires_grad=True)
+    out = relu(xt)
+    out.backward(g)
+    assert same_bits(out.data, np.where(x > 0, x, 0).astype(np.float32))
+    ref_dx = np.where(x > 0, g, 0).astype(np.float32)
+    np.testing.assert_array_equal(xt.grad, ref_dx)
+    # g * False is -0.0 where g < 0; folding that into +0.0 leaves the bits identical
+    assert same_bits(xt.grad + np.float32(0.0), ref_dx)
+
+
+def batch_norm_reference(x, gamma, beta, g, eps=1e-5):
+    """The former training-mode batch norm: keeps xhat, np.var, sums over g * gamma."""
+    c = x.shape[1]
+    g4, b4 = gamma.reshape(1, c, 1, 1), beta.reshape(1, c, 1, 1)
+    mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+    out = g4 * xhat + b4
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    dxhat = g * g4
+    s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    dx = (inv.reshape(1, c, 1, 1) / count) * (count * dxhat - s1 - xhat * s2)
+    return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3)), mu, var
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batch_norm_train_matches_former_formula(seed):
+    rng = np.random.default_rng(1100 + seed)
+    x = (rng.standard_normal((16, 6, 8, 8)) * 3.0 + 1.5).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, 6).astype(np.float32)
+    beta = rng.standard_normal(6).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    state = BatchNormState.create(6)
+    out = batch_norm(xt, gt, bt, state, training=True)
+    out.backward(g)
+    ref_out, ref_dx, ref_dgamma, ref_dbeta, mu, var = batch_norm_reference(x, gamma, beta, g)
+    assert out.data.dtype == xt.grad.dtype == np.float32
+    for got, ref in [(out.data, ref_out), (xt.grad, ref_dx), (gt.grad, ref_dgamma),
+                     (bt.grad, ref_dbeta), (state.running_mean, 0.1 * mu),
+                     (state.running_var, 0.9 + 0.1 * var)]:
+        # the per-channel sums run over 1024 elements in another order: allow 16
+        # float32 ulps of the array's largest magnitude (about 2 are seen)
+        atol = 16 * np.finfo(np.float32).eps * np.abs(ref).max()
+        np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+
+def test_batch_norm_eval_matches_former_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    x = (rng.standard_normal((4, 5, 6, 6)) * 2.0 - 1.0).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, 5).astype(np.float32)
+    beta = rng.standard_normal(5).astype(np.float32)
+    state = BatchNormState(running_mean=rng.standard_normal(5).astype(np.float32),
+                           running_var=rng.uniform(0.5, 2.0, 5).astype(np.float32), steps=1)
+    with no_grad():
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training=False).data
+    inv = (1.0 / np.sqrt(state.running_var + state.eps)).reshape(1, 5, 1, 1)
+    ref = gamma.reshape(1, 5, 1, 1) * ((x - state.running_mean.reshape(1, 5, 1, 1)) * inv) \
+        + beta.reshape(1, 5, 1, 1)
+    assert same_bits(out, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +641,27 @@ def test_save_load_round_trip(tmp_path):
         back = load_array(tmp_path / f"arr_{arr.dtype}")
         assert back.dtype == dtype
         np.testing.assert_array_equal(back, arr)
+
+
+@pytest.mark.parametrize("delta", [-4, -1, 4])
+def test_load_array_rejects_wrong_byte_count(tmp_path, delta):
+    save_array(np.arange(6, dtype=np.float32).reshape(2, 3), tmp_path / "arr")
+    raw = (tmp_path / "arr.bin").read_bytes()
+    fixed = raw[:delta] if delta < 0 else raw + bytes(delta)
+    (tmp_path / "arr.bin").write_bytes(fixed)
+    with pytest.raises(CheckpointError):
+        load_array(tmp_path / "arr")
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"shape": [2], "dtype": "int8"}',
+    '{"shape": [-2], "dtype": "float32"}',
+    '{"shape": "2", "dtype": "float32"}',
+    '[2, 2]',
+    '{"shape": [2]',
+])
+def test_load_array_rejects_malformed_sidecar(tmp_path, sidecar):
+    save_array(np.zeros(2, dtype=np.float32), tmp_path / "arr")
+    (tmp_path / "arr.json").write_text(sidecar)
+    with pytest.raises(CheckpointError):
+        load_array(tmp_path / "arr")
