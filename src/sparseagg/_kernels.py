@@ -1,78 +1,42 @@
-"""Hot inner loops: patch gather/scatter and max-pool routing.
+"""Hot inner loops: the conv operand gather and fold, and max-pool routing.
 
-Two implementations live side by side: vectorized numpy and numba-jitted
-loops.  The active set is picked once at import time; set
-``SPARSEAGG_NUMBA=0`` to force the pure-numpy path (useful on machines
-without a working numba).
-
-Matrix multiplies stay in numpy/BLAS either way; only the gather/scatter
-loops benefit from jitting.
+Everything here is vectorized numpy.  ``tensor.conv2d`` runs one GEMM per
+kernel tap over shifted views of a zero-padded, channel-major copy of its
+input (Anderson et al., *Low-memory GEMM-based convolution algorithms*,
+arXiv 1709.03395), so no patch matrix is built at any kernel size or
+stride.  ``im2col`` gathers that operand and ``col2im`` folds its gradient
+back onto the input; they keep the names of the patch gather and scatter
+they replaced, and ``tensor`` looks them up at call time, so a profiler
+can wrap them.  Matrix multiplies go to numpy/BLAS.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
+def im2col(x: np.ndarray, padding: int) -> np.ndarray:
+    """Gather the conv operand: NCHW ``x`` -> zero-padded (C, N, H+2p, W+2p).
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _numba_requested() -> bool:
-    return os.environ.get("SPARSEAGG_NUMBA", "1").strip().lower() not in ("0", "false", "no", "off")
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def im2col_numpy(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Gather conv patches from padded input ``x`` (N,C,H,W).
-
-    Returns (C*kh*kw, N*oh*ow): rows in (c, ky, kx) order, columns in
-    (n, y, x) order.  Row-major rows keep every copy here a plain strided
-    slice with no permutation pass.
+    The result is C-contiguous, so its flat (C, N*Hp*Wp) view is the one
+    GEMM operand that every kernel tap reads at its own offset.  It holds
+    the input plus its zero margins: no patch is duplicated.
     """
-    n, c, _, _ = x.shape
-    cols = np.empty((c * kh * kw, n, oh, ow), dtype=x.dtype)
-    r = 0
-    for ci in range(c):
-        for ky in range(kh):
-            y_end = ky + stride * oh
-            for kx in range(kw):
-                cols[r] = x[:, ci, ky:y_end:stride, kx:kx + stride * ow:stride]
-                r += 1
-    return cols.reshape(c * kh * kw, n * oh * ow)
-
-
-def col2im_numpy(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int,
-                 oh: int, ow: int) -> np.ndarray:
-    """Scatter-add patch gradients back onto the padded input shape."""
-    n, c, hp, wp = shape
-    cols4 = cols.reshape(c * kh * kw, n, oh, ow)
-    out = np.zeros(shape, dtype=cols.dtype)
-    r = 0
-    for ci in range(c):
-        for ky in range(kh):
-            y_end = ky + stride * oh
-            for kx in range(kw):
-                out[:, ci, ky:y_end:stride, kx:kx + stride * ow:stride] += cols4[r]
-                r += 1
+    n, c, h, w = x.shape
+    out = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    out[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
     return out
 
 
-def maxpool_forward_numpy(x: np.ndarray, kernel: int, stride: int, padding: int):
+def col2im(grad: np.ndarray, padding: int) -> np.ndarray:
+    """Fold an operand-shaped gradient (C, N, Hp, Wp) back to the NCHW input.
+
+    The adjoint of ``im2col``: drops the margins and restores NCHW order.
+    Returns a view; the caller's gradient accumulation makes the one copy.
+    """
+    _, _, hp, wp = grad.shape
+    return grad[:, :, padding:hp - padding, padding:wp - padding].transpose(1, 0, 2, 3)
+
+
+def maxpool_forward(x: np.ndarray, kernel: int, stride: int, padding: int):
     """Max pool with -inf padding; returns output and flat argmax indices."""
     n, c, h, w = x.shape
     oh = (h + 2 * padding - kernel) // stride + 1
@@ -91,8 +55,8 @@ def maxpool_forward_numpy(x: np.ndarray, kernel: int, stride: int, padding: int)
     return np.ascontiguousarray(out), arg
 
 
-def maxpool_backward_numpy(grad: np.ndarray, arg: np.ndarray, x_shape: tuple,
-                           kernel: int, stride: int, padding: int) -> np.ndarray:
+def maxpool_backward(grad: np.ndarray, arg: np.ndarray, x_shape: tuple,
+                     kernel: int, stride: int, padding: int) -> np.ndarray:
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = grad.shape[2], grad.shape[3]
@@ -111,144 +75,6 @@ def maxpool_backward_numpy(grad: np.ndarray, arg: np.ndarray, x_shape: tuple,
     return dxp
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-
-
-@njit(cache=True)
-def _im2col_jit(x, kh, kw, stride, oh, ow):
-    n, c, _, _ = x.shape
-    cols = np.empty((c * kh * kw, n * oh * ow), dtype=x.dtype)
-    for ci in range(c):
-        for ky in range(kh):
-            for kx in range(kw):
-                r = (ci * kh + ky) * kw + kx
-                m = 0
-                for ni in range(n):
-                    for oy in range(oh):
-                        src = x[ni, ci, oy * stride + ky]
-                        for ox in range(ow):
-                            cols[r, m + ox] = src[ox * stride + kx]
-                        m += ow
-    return cols
-
-
-@njit(cache=True)
-def _col2im_jit(cols, n, c, hp, wp, kh, kw, stride, oh, ow):
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    for ci in range(c):
-        for ky in range(kh):
-            for kx in range(kw):
-                r = (ci * kh + ky) * kw + kx
-                m = 0
-                for ni in range(n):
-                    for oy in range(oh):
-                        dst = out[ni, ci, oy * stride + ky]
-                        for ox in range(ow):
-                            dst[ox * stride + kx] += cols[r, m + ox]
-                        m += ow
-    return out
-
-
-@njit(cache=True)
-def _maxpool_forward_jit(x, kernel, stride, padding, oh, ow):
-    n, c, h, w = x.shape
-    out = np.empty((n, c, oh, ow), dtype=x.dtype)
-    arg = np.empty((n, c, oh, ow), dtype=np.int64)
-    for ni in range(n):
-        for ci in range(c):
-            for oy in range(oh):
-                for ox in range(ow):
-                    best = -np.inf
-                    best_idx = 0
-                    for ky in range(kernel):
-                        y = oy * stride + ky - padding
-                        if y < 0 or y >= h:
-                            continue
-                        for kx in range(kernel):
-                            xq = ox * stride + kx - padding
-                            if xq < 0 or xq >= w:
-                                continue
-                            v = x[ni, ci, y, xq]
-                            if v > best:
-                                best = v
-                                best_idx = ky * kernel + kx
-                    out[ni, ci, oy, ox] = best
-                    arg[ni, ci, oy, ox] = best_idx
-    return out, arg
-
-
-@njit(cache=True)
-def _maxpool_backward_jit(grad, arg, n, c, h, w, kernel, stride, padding):
-    dx = np.zeros((n, c, h, w), dtype=grad.dtype)
-    oh, ow = grad.shape[2], grad.shape[3]
-    for ni in range(n):
-        for ci in range(c):
-            for oy in range(oh):
-                for ox in range(ow):
-                    idx = arg[ni, ci, oy, ox]
-                    y = oy * stride + idx // kernel - padding
-                    xq = ox * stride + idx % kernel - padding
-                    dx[ni, ci, y, xq] += grad[ni, ci, oy, ox]
-    return dx
-
-
-def im2col_numba(x, kh, kw, stride, oh, ow):
-    return _im2col_jit(np.ascontiguousarray(x), kh, kw, stride, oh, ow)
-
-
-def col2im_numba(cols, shape, kh, kw, stride, oh, ow):
-    n, c, hp, wp = shape
-    return _col2im_jit(np.ascontiguousarray(cols), n, c, hp, wp, kh, kw, stride, oh, ow)
-
-
-def maxpool_forward_numba(x, kernel, stride, padding):
-    n, c, h, w = x.shape
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    return _maxpool_forward_jit(np.ascontiguousarray(x), kernel, stride, padding, oh, ow)
-
-
-def maxpool_backward_numba(grad, arg, x_shape, kernel, stride, padding):
-    n, c, h, w = x_shape
-    return _maxpool_backward_jit(np.ascontiguousarray(grad), arg, n, c, h, w,
-                                 kernel, stride, padding)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-#
-# Stride-1 patch gather/scatter reduces to contiguous row copies, which
-# numpy's C memmove path does faster than the jitted loop; strided patches
-# and max-pool argmax routing are where the jit wins.  The accelerated mode
-# routes accordingly.
-
-_USE_NUMBA = HAS_NUMBA and _numba_requested()
-
-
-def _im2col_routed(x, kh, kw, stride, oh, ow):
-    if stride == 1:
-        return im2col_numpy(x, kh, kw, stride, oh, ow)
-    return im2col_numba(x, kh, kw, stride, oh, ow)
-
-
-def _col2im_routed(cols, shape, kh, kw, stride, oh, ow):
-    if stride == 1:
-        return col2im_numpy(cols, shape, kh, kw, stride, oh, ow)
-    return col2im_numba(cols, shape, kh, kw, stride, oh, ow)
-
-
-if _USE_NUMBA:
-    im2col = _im2col_routed
-    col2im = _col2im_routed
-    maxpool_forward = maxpool_forward_numba
-    maxpool_backward = maxpool_backward_numba
-else:
-    im2col = im2col_numpy
-    col2im = col2im_numpy
-    maxpool_forward = maxpool_forward_numpy
-    maxpool_backward = maxpool_backward_numpy
-
-
 def active_backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded in run provenance."""
+    return "numpy"

@@ -42,16 +42,9 @@ def _versions() -> dict:
         pkg = version("sparseagg")
     except Exception:
         pkg = "unknown"
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
         "sparseagg": pkg,
         "kernel_backend": active_backend(),
     }

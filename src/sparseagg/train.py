@@ -68,8 +68,6 @@ def _read_batch_file(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _stratified_head(images: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First count/10 occurrences of each class, in file order."""
-    if count % NUM_CLASSES:
-        raise ValueError(f"subset size must be a multiple of {NUM_CLASSES}, got {count}")
     per_class = count // NUM_CLASSES
     picked: list[int] = []
     seen = [0] * NUM_CLASSES
@@ -93,8 +91,13 @@ def load_cifar10(data_dir, train_subset: int | None = None,
 
     Subset sizes select the first n/10 images of each class in file order,
     so repeated calls are deterministic.  Channel mean/std are fitted on
-    the (possibly subset) train images in [0, 1] scale.
+    the (possibly subset) train images in [0, 1] scale.  A subset size that
+    is not a positive multiple of 10 raises DataFormatError.
     """
+    for name, count in (("train", train_subset), ("test", test_subset)):
+        if count is not None and (count <= 0 or count % NUM_CLASSES):
+            raise DataFormatError(f"{name} subset size must be a positive multiple of "
+                                  f"{NUM_CLASSES}, got {count}")
     train_parts = [_read_batch_file(os.path.join(data_dir, name)) for name in TRAIN_FILES]
     train_images = np.concatenate([p[0] for p in train_parts])
     train_labels = np.concatenate([p[1] for p in train_parts])
@@ -224,7 +227,9 @@ def train_model(net: Network, data: Cifar10, cfg: TrainConfig,
     """Train in place; returns one history row per epoch.
 
     Raises TrainingDivergedError (with the offending epoch and step) as
-    soon as the loss stops being finite.
+    soon as the loss or a parameter gradient stops being finite; a
+    non-finite gradient is caught before the optimizer writes it into the
+    weights, and the error names the parameter.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = SGD(net.params, lr=cfg.base_lr, momentum=cfg.momentum,
@@ -251,6 +256,11 @@ def train_model(net: Network, data: Cifar10, cfg: TrainConfig,
                 )
             opt.zero_grad()
             loss.backward()
+            for name, p in net.params.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise TrainingDivergedError(
+                        f"gradient of {name} became non-finite at epoch {epoch}, step {step}"
+                    )
             opt.step()
             epoch_loss += value * len(idx)
             correct += int((logits.data.argmax(axis=1) == yb).sum())

@@ -171,6 +171,17 @@ def test_unknown_topology_exits_1(tmp_path):
     assert run_json(tmp_path)["status"] == "error"
 
 
+@pytest.mark.parametrize("size", ["25", "0", "-10"])
+@pytest.mark.parametrize("flag", ["--subset", "--test-subset"])
+def test_bad_subset_size_exits_1(tmp_path, cifar_dir, flag, size):
+    code = main(["train", "--spec", config_path("sparse_bc_tiny_cifar.json"),
+                 "--data", cifar_dir, "--epochs", "1", flag, size, "--out", str(tmp_path)])
+    assert code == 1
+    record = run_json(tmp_path)
+    assert record["status"] == "error"
+    assert "positive multiple of 10" in record["error"]
+
+
 @pytest.mark.slow
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_2(tmp_path, cifar_dir):

@@ -1,9 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from sparseagg import _kernels as K
-
-needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
+from sparseagg.tensor import Tensor, conv2d
 
 CONV_CASES = [
     # (n, c, h, w, kh, kw, stride) with h, w already padded
@@ -42,65 +43,75 @@ def im2col_ref(x, kh, kw, stride, oh, ow):
     return cols
 
 
+def unpadded(rng, n, c, h, w, padding):
+    return rng.standard_normal((n, c, h - 2 * padding, w - 2 * padding))
+
+
 @pytest.mark.parametrize("n,c,h,w,kh,kw,stride", CONV_CASES)
 def test_im2col_matches_reference(n, c, h, w, kh, kw, stride):
+    # Tap (ky, kx) of conv2d reads the flat operand at offset ky*w + kx; on the
+    # stride-s corner of the grid that view is exactly the tap's patch rows.
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((n, c, h, w))
+    padding = 1
+    x = unpadded(rng, n, c, h, w, padding)
+    operand = K.im2col(x, padding)
+    assert operand.shape == (c, n, h, w) and operand.flags.c_contiguous
+    flat = operand.reshape(c, -1)
     oh, ow = out_size(h, kh, stride), out_size(w, kw, stride)
-    np.testing.assert_array_equal(K.im2col_numpy(x, kh, kw, stride, oh, ow),
-                                  im2col_ref(x, kh, kw, stride, oh, ow))
-
-
-@needs_numba
-@pytest.mark.parametrize("n,c,h,w,kh,kw,stride", CONV_CASES)
-def test_im2col_backends_agree(n, c, h, w, kh, kw, stride):
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
-    oh, ow = out_size(h, kh, stride), out_size(w, kw, stride)
-    np.testing.assert_array_equal(K.im2col_numpy(x, kh, kw, stride, oh, ow),
-                                  K.im2col_numba(x, kh, kw, stride, oh, ow))
-
-
-@needs_numba
-@pytest.mark.parametrize("n,c,h,w,kh,kw,stride", CONV_CASES)
-def test_col2im_backends_agree(n, c, h, w, kh, kw, stride):
-    rng = np.random.default_rng(2)
-    oh, ow = out_size(h, kh, stride), out_size(w, kw, stride)
-    cols = rng.standard_normal((c * kh * kw, n * oh * ow))
-    a = K.col2im_numpy(cols, (n, c, h, w), kh, kw, stride, oh, ow)
-    b = K.col2im_numba(cols, (n, c, h, w), kh, kw, stride, oh, ow)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = im2col_ref(xp, kh, kw, stride, oh, ow)
+    span = n * h * w - (kh - 1) * w - (kw - 1)
+    for ky in range(kh):
+        for kx in range(kw):
+            grid = np.zeros_like(flat)
+            grid[:, :span] = flat[:, ky * w + kx:ky * w + kx + span]
+            corner = grid.reshape(c, n, h, w)[:, :, :stride * oh:stride, :stride * ow:stride]
+            rows = cols.reshape(c, kh, kw, -1)[:, ky, kx]
+            np.testing.assert_array_equal(corner.reshape(c, -1), rows)
 
 
 @pytest.mark.parametrize("n,c,h,w,kh,kw,stride", CONV_CASES)
 def test_col2im_is_adjoint_of_im2col(n, c, h, w, kh, kw, stride):
-    # <im2col(x), cols> == <x, col2im(cols)> pins scatter against gather
+    # <im2col(x), y> == <x, col2im(y)> pins the fold against the gather
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((n, c, h, w))
-    oh, ow = out_size(h, kh, stride), out_size(w, kw, stride)
-    cols = rng.standard_normal((c * kh * kw, n * oh * ow))
-    lhs = float(np.sum(K.im2col(x, kh, kw, stride, oh, ow) * cols))
-    rhs = float(np.sum(x * K.col2im(cols, (n, c, h, w), kh, kw, stride, oh, ow)))
+    padding = kh // 2
+    x = unpadded(rng, n, c, h, w, padding)
+    y = rng.standard_normal((c, n, h, w))
+    lhs = float(np.sum(K.im2col(x, padding) * y))
+    rhs = float(np.sum(x * K.col2im(y, padding)))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("padding", [1, 3])
+def test_im2col_margins_are_zero(padding):
+    x = np.random.default_rng(5).uniform(1.0, 2.0, (2, 3, 4, 5))
+    operand = K.im2col(x, padding)
+    inner = np.zeros(operand.shape, dtype=bool)
+    inner[:, :, padding:-padding, padding:-padding] = True
+    assert np.all(operand[~inner] == 0.0)
+    assert np.all(operand[inner] >= 1.0)
 
 
 def test_pointwise_round_trip_is_identity():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 3, 5, 5))
-    cols = K.im2col(x, 1, 1, 1, 5, 5)
-    np.testing.assert_array_equal(K.col2im(cols, x.shape, 1, 1, 1, 5, 5), x)
+    operand = K.im2col(x, 0)
+    np.testing.assert_array_equal(operand, x.transpose(1, 0, 2, 3))
+    np.testing.assert_array_equal(K.col2im(operand, 0), x)
+    np.testing.assert_array_equal(K.col2im(K.im2col(x, 2), 2), x)
 
 
 def test_col2im_counts_patch_coverage():
+    # conv2d's input gradient adds every tap into the operand buffer and folds it
     h = w = 4
-    oh = ow = out_size(h, 3, 1)
-    cols = np.ones((1 * 3 * 3, 1 * oh * ow))
-    cover = K.col2im_numpy(cols, (1, 1, h, w), 3, 3, 1, oh, ow)[0, 0]
+    x = Tensor(np.ones((1, 1, h, w)), requires_grad=True)
+    out = conv2d(x, Tensor(np.ones((1, 1, 3, 3))))
+    out.backward(np.ones(out.shape))
     expected = np.array([[1, 2, 2, 1],
                          [2, 4, 4, 2],
                          [2, 4, 4, 2],
                          [1, 2, 2, 1]], dtype=float)
-    np.testing.assert_array_equal(cover, expected)
+    np.testing.assert_array_equal(x.grad[0, 0], expected)
 
 
 def maxpool_ref(x, kernel, stride, padding):
@@ -129,26 +140,10 @@ def maxpool_ref(x, kernel, stride, padding):
 def test_maxpool_forward_matches_reference(n, c, h, w, kernel, stride, padding):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((n, c, h, w))
-    out, arg = K.maxpool_forward_numpy(x, kernel, stride, padding)
+    out, arg = K.maxpool_forward(x, kernel, stride, padding)
     ref_out, ref_arg = maxpool_ref(x, kernel, stride, padding)
     np.testing.assert_array_equal(out, ref_out)
     np.testing.assert_array_equal(arg, ref_arg)
-
-
-@needs_numba
-@pytest.mark.parametrize("n,c,h,w,kernel,stride,padding", POOL_CASES)
-def test_maxpool_backends_agree(n, c, h, w, kernel, stride, padding):
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
-    out_a, arg_a = K.maxpool_forward_numpy(x, kernel, stride, padding)
-    out_b, arg_b = K.maxpool_forward_numba(x, kernel, stride, padding)
-    np.testing.assert_array_equal(out_a, out_b)
-    np.testing.assert_array_equal(arg_a, arg_b)
-
-    grad = rng.standard_normal(out_a.shape).astype(np.float64)
-    dx_a = K.maxpool_backward_numpy(grad, arg_a, x.shape, kernel, stride, padding)
-    dx_b = K.maxpool_backward_numba(grad, arg_a, x.shape, kernel, stride, padding)
-    np.testing.assert_allclose(dx_a, dx_b, rtol=1e-12, atol=0)
 
 
 def test_maxpool_ties_pick_first_window_slot():
@@ -170,17 +165,27 @@ def test_maxpool_backward_routes_to_argmax_only():
 def test_kernels_preserve_dtype():
     x32 = np.ones((1, 1, 4, 4), dtype=np.float32)
     x64 = np.ones((1, 1, 4, 4), dtype=np.float64)
-    assert K.im2col(x32, 3, 3, 1, 2, 2).dtype == np.float32
-    assert K.im2col(x64, 3, 3, 1, 2, 2).dtype == np.float64
+    assert K.im2col(x32, 1).dtype == np.float32
+    assert K.im2col(x64, 1).dtype == np.float64
+    assert K.col2im(K.im2col(x32, 1), 1).dtype == np.float32
     assert K.maxpool_forward(x32, 2, 2, 0)[0].dtype == np.float32
 
 
 def test_active_backend_reports_dispatch():
-    assert K.active_backend() in ("numpy", "numba")
-    assert K.active_backend() == ("numba" if K._USE_NUMBA else "numpy")
-    if K._USE_NUMBA:
-        assert K.im2col is K._im2col_routed
-        assert K.col2im is K._col2im_routed
-    else:
-        assert K.im2col is K.im2col_numpy
-        assert K.col2im is K.col2im_numpy
+    # conv2d looks the gather and fold up at call time, so a profiler can wrap them
+    assert K.active_backend() == "numpy"
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    x = Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
+    w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
+    with mock.patch.object(K, "im2col", spy(K.im2col)), \
+            mock.patch.object(K, "col2im", spy(K.col2im)):
+        out = conv2d(x, w, padding=1)
+        out.backward(np.ones(out.shape))
+    assert calls == ["im2col", "im2col", "col2im"]

@@ -67,8 +67,15 @@ def test_stratified_subset_is_balanced(cifar_dir):
 
 
 def test_subset_must_be_multiple_of_class_count(cifar_dir):
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         load_cifar10(cifar_dir, train_subset=1995)
+
+
+@pytest.mark.parametrize("size", [25, 0, -10])
+@pytest.mark.parametrize("split", ["train_subset", "test_subset"])
+def test_subset_must_be_positive_multiple_of_ten(cifar_dir, split, size):
+    with pytest.raises(DataFormatError, match="positive multiple of 10"):
+        load_cifar10(cifar_dir, **{split: size})
 
 
 def test_subset_selection_is_deterministic(cifar_dir):
@@ -267,6 +274,27 @@ def test_absurd_lr_diverges_with_location(cifar_dir):
     cfg = TrainConfig(epochs=1, batch_size=10, base_lr=1e12, seed=0, augment=False)
     with pytest.raises(TrainingDivergedError, match="epoch 1"):
         train_model(net, data, cfg)
+
+
+def test_non_finite_gradient_stops_before_the_update(cifar_dir, monkeypatch):
+    # a finite loss with a NaN gradient must not reach SGD.step
+    data = load_cifar10(cifar_dir, train_subset=100, test_subset=100)
+    net = compile_network(tiny_spec(), seed=0)
+    snap = {k: p.data.copy() for k, p in net.params.items()}
+    victim = "block2.layer1.conv1"
+    assert victim in net.params
+    backward = Tensor.backward
+
+    def poisoned(self, grad=None, free_graph=True):
+        backward(self, grad, free_graph)
+        net.params[victim].grad.flat[3] = np.nan
+
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    cfg = TrainConfig(epochs=1, batch_size=50, base_lr=0.1, seed=0, augment=False)
+    with pytest.raises(TrainingDivergedError, match=rf"{victim}.*epoch 1, step 0"):
+        train_model(net, data, cfg)
+    for name, p in net.params.items():
+        np.testing.assert_array_equal(p.data, snap[name])
 
 
 def test_history_csv_round_trips_floats(tmp_path):
