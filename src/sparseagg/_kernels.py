@@ -4,10 +4,13 @@ Everything here is vectorized numpy.  ``tensor.conv2d`` runs one GEMM per
 kernel tap over shifted views of a zero-padded, channel-major copy of its
 input (Anderson et al., *Low-memory GEMM-based convolution algorithms*,
 arXiv 1709.03395), so no patch matrix is built at any kernel size or
-stride.  ``im2col`` gathers that operand and ``col2im`` folds its gradient
+stride; its backward stacks the taps' shifted gradient views one column
+chunk at a time and runs two GEMMs per chunk over the same operand.
+``im2col`` gathers that operand and ``col2im`` folds its gradient
 back onto the input; they keep the names of the patch gather and scatter
 they replaced, and ``tensor`` looks them up at call time, so a profiler
-can wrap them.  Matrix multiplies go to numpy/BLAS.
+can wrap them.  Max pooling is a running max over the kernel**2 strided
+views of its padded input.  Matrix multiplies go to numpy/BLAS.
 """
 
 import numpy as np
@@ -37,42 +40,63 @@ def col2im(grad: np.ndarray, padding: int) -> np.ndarray:
 
 
 def maxpool_forward(x: np.ndarray, kernel: int, stride: int, padding: int):
-    """Max pool with -inf padding; returns output and flat argmax indices."""
+    """Max pool with -inf padding; returns output and flat argmax indices.
+
+    A running max over the kernel**2 strided views of the padded input, in
+    (ky, kx) order.  A later slot wins only when strictly greater, so ties
+    go to the first slot, and a NaN wins over any number, so a window
+    holding NaN gives its first NaN (as ``argmax`` would).  Winners are
+    merged with arithmetic rather than masked copies, which stall on
+    data-dependent branches.
+    """
     n, c, h, w = x.shape
     oh = (h + 2 * padding - kernel) // stride + 1
     ow = (w + 2 * padding - kernel) // stride + 1
     if padding:
-        pad_value = -np.inf if np.issubdtype(x.dtype, np.floating) else x.min()
-        xp = np.full((n, c, h + 2 * padding, w + 2 * padding), pad_value, dtype=x.dtype)
+        xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.dtype)
         xp[:, :, padding:padding + h, padding:padding + w] = x
     else:
         xp = x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
-    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
-    arg = flat.argmax(axis=-1).astype(np.int64)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), arg
+    out = _slot_view(xp, 0, 0, stride, oh, ow).copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    step = np.empty_like(arg)
+    out_is_number = np.empty(out.shape, dtype=bool)
+    wins = np.empty(out.shape, dtype=bool)
+    for slot in range(1, kernel * kernel):
+        view = _slot_view(xp, *divmod(slot, kernel), stride, oh, ow)
+        np.equal(out, out, out=out_is_number)
+        np.less_equal(view, out, out=wins)
+        np.logical_not(wins, out=wins)   # view > out, or either is NaN
+        wins &= out_is_number
+        np.maximum(view, out, out=out)   # on a tie this keeps `out`, the earlier slot
+        np.subtract(slot, arg, out=step)
+        step *= wins
+        arg += step                      # arg = slot where the slot wins
+    return out, arg.astype(np.int64)
 
 
 def maxpool_backward(grad: np.ndarray, arg: np.ndarray, x_shape: tuple,
                      kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Route each output gradient to its argmax slot of the padded input.
+
+    Each gradient is first put in its slot's plane of a (kernel**2, N, C,
+    oh, ow) zero buffer, then the planes are added onto their strided views
+    last to first, so every input position sums its windows' gradients in
+    the order ``np.add.at`` used.
+    """
     n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = grad.shape[2], grad.shape[3]
-    dxp = np.zeros((n, c, hp, wp), dtype=grad.dtype)
-    ky = (arg // kernel).astype(np.int64)
-    kx = (arg % kernel).astype(np.int64)
-    oy = np.arange(oh).reshape(1, 1, oh, 1) * stride
-    ox = np.arange(ow).reshape(1, 1, 1, ow) * stride
-    rows = (oy + ky).reshape(n, c, -1)
-    colsx = (ox + kx).reshape(n, c, -1)
-    ni = np.arange(n).reshape(n, 1, 1)
-    ci = np.arange(c).reshape(1, c, 1)
-    np.add.at(dxp, (ni, ci, rows, colsx), grad.reshape(n, c, -1))
-    if padding:
-        return dxp[:, :, padding:padding + h, padding:padding + w]
-    return dxp
+    planes = np.zeros((kernel * kernel,) + grad.shape, dtype=grad.dtype)
+    np.put_along_axis(planes, arg[None], grad[None], axis=0)
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad.dtype)
+    for slot in reversed(range(kernel * kernel)):
+        _slot_view(dxp, *divmod(slot, kernel), stride, oh, ow)[...] += planes[slot]
+    return dxp[:, :, padding:padding + h, padding:padding + w]
+
+
+def _slot_view(xp: np.ndarray, ky: int, kx: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """The (N, C, oh, ow) strided view holding window slot (ky, kx) of every window."""
+    return xp[:, :, ky:ky + stride * (oh - 1) + 1:stride, kx:kx + stride * (ow - 1) + 1:stride]
 
 
 def active_backend() -> str:

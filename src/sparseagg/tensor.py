@@ -7,8 +7,10 @@ checker.  No op mutates its inputs; ``backward`` accumulates into the
 
 Retention rule: a backward closure keeps the op's inputs, its own output
 (relu) and per-channel statistics, never a derived full-size buffer.  Conv
-keeps ``x`` and rebuilds its padded channel-major GEMM operand (1.1-1.6x
-its input; there is no patch matrix) in backward, and batch norm rebuilds
+keeps ``x`` and ``w`` and rebuilds its padded channel-major GEMM operand
+(1.1-1.6x its input; there is no patch matrix) in backward; its stacked
+tap gradients are built one column chunk at a time (a few hundred KB for
+a 3x3 conv) and freed when backward returns.  Batch norm rebuilds
 ``xhat`` from its input, mean and inverse std.  The graph
 already holds every op's input and output, so what a training step keeps
 alive between forward and backward is the activations themselves.  The
@@ -185,6 +187,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     (O, N, Hp, Wp) grid of window origins; the output is its
     ``[::stride, ::stride]`` corner of size oh x ow.  A 1x1 conv is the
     one-tap case; a strided conv pays stride**2 more FLOPs for one path.
+
+    Backward stacks the taps instead: per chunk of operand columns q it
+    copies the kh*kw shifted views ``g_grid[:, q - offset]`` into one
+    (kh*kw*O, chunk) matrix G and runs two GEMMs, ``dW += G @ operand.T``
+    and ``d_operand = W_cat.T @ G`` with ``W_cat`` the (kh*kw*O, C) tap
+    weights, so each operand-gradient column is written once.
     """
     _check_float(x, "x", "conv2d")
     _check_float(w, "w", "conv2d")
@@ -228,30 +236,42 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     out = grid.reshape(o, n, hp, wp)[corner].transpose(1, 0, 2, 3)
 
     def backward(g):
+        # The gradient grid sits after `lead` zero columns and ends in zeros, so
+        # G[(t, o), q] = g_grid[o, q - offsets[t]] is a plain slice for every
+        # operand column q; each chunk stacks its kh*kw slices and runs two GEMMs.
+        width, lead = n * hp * wp, offsets[-1]
         covered = (oh, ow) == (hp, wp)  # 1x1, unpadded: no margin to zero
-        g_grid = (np.empty if covered else np.zeros)((o, n, hp, wp), dtype=dtype)
-        g_grid[corner] = g.transpose(1, 0, 2, 3)
-        g_grid = g_grid.reshape(o, -1)[:, :span]
-        if w.requires_grad:
-            operand = K.im2col(xd, padding).reshape(c, -1)
-            dw = np.empty((kh * kw, o, c), dtype=dtype)
+        g_pad = (np.empty if covered else np.zeros)((o, lead + width), dtype=dtype)
+        g_pad[:, lead:].reshape(o, n, hp, wp)[corner] = g.transpose(1, 0, 2, 3)
+        operand = K.im2col(xd, padding).reshape(c, -1) if w.requires_grad else None
+        w_cat = _tap_weights(w.data).reshape(-1, c)
+        dw = np.zeros_like(w_cat) if w.requires_grad else None
+        dop = np.empty((c, width), dtype=dtype) if x.requires_grad else None
+        buf = np.empty(len(offsets) * o * min(_BACKWARD_CHUNK, width), dtype=dtype)
+        tmp = None
+        for a in range(0, width, _BACKWARD_CHUNK):
+            b = min(a + _BACKWARD_CHUNK, width)
+            stack = buf[:len(offsets) * o * (b - a)].reshape(len(offsets), o, b - a)
             for t, d in enumerate(offsets):
-                np.matmul(g_grid, operand[:, d:d + span].T, out=dw[t])
-            del operand
+                stack[t] = g_pad[:, lead - d + a:lead - d + b]
+            stack = stack.reshape(-1, b - a)
+            if dw is not None:
+                tmp = np.matmul(stack, operand[:, a:b].T, out=tmp)
+                dw += tmp
+            if dop is not None:
+                np.matmul(w_cat.T, stack, out=dop[:, a:b])
+        del g_pad, operand, buf, stack, tmp
+        if dw is not None:
             w.accumulate_grad(dw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            taps = _tap_weights(w.data)
-            dop = np.empty((c, n * hp * wp), dtype=dtype)
-            np.matmul(taps[0].T, g_grid, out=dop[:, :span])
-            dop[:, span:] = 0
-            tmp = None
-            for t, d in enumerate(offsets[1:], 1):
-                tmp = np.matmul(taps[t].T, g_grid, out=tmp)
-                dop[:, d:d + span] += tmp
-            del tmp
+        if dop is not None:
             x.accumulate_grad(K.col2im(dop.reshape(c, n, hp, wp), padding))
 
     return _result(np.ascontiguousarray(out), (x, w), backward, "conv2d")
+
+
+# Operand columns per stacked backward chunk: the (kh*kw*O, chunk) gradient
+# stack stays a few hundred KB for 3x3 convs while the GEMMs stay large.
+_BACKWARD_CHUNK = 1024
 
 
 def _tap_weights(w: np.ndarray) -> np.ndarray:
@@ -381,6 +401,9 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     _check_float(x, "x", "max_pool2d")
     n, c, h, w = x.data.shape
+    if padding > kernel // 2:
+        # a window could then lie wholly in the -inf padding
+        raise ValueError(f"max_pool2d padding {padding} exceeds half the kernel {kernel}")
     if h + 2 * padding < kernel or w + 2 * padding < kernel:
         raise ValueError("max_pool2d window larger than padded input")
     out, arg = K.maxpool_forward(x.data, kernel, stride, padding)

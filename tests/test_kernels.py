@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseagg import _kernels as K
-from sparseagg.tensor import Tensor, conv2d
+from sparseagg.tensor import Tensor, conv2d, max_pool2d
 
 CONV_CASES = [
     # (n, c, h, w, kh, kw, stride) with h, w already padded
@@ -160,6 +160,67 @@ def test_maxpool_backward_routes_to_argmax_only():
     assert dx.sum() == 4.0
     assert dx[0, 0, 1, 1] == 1.0 and dx[0, 0, 3, 3] == 1.0
     assert dx[0, 0, 0, 0] == 0.0
+
+
+def maxpool_forward_former(x, kernel, stride, padding):
+    """The former max-pool forward: argmax over sliding-window copies."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    flat = windows[:, :, ::stride, ::stride][:, :, :oh, :ow].reshape(n, c, oh, ow, -1)
+    arg = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], arg
+
+
+def maxpool_backward_former(grad, arg, x_shape, kernel, stride, padding):
+    """The former max-pool backward: one np.add.at over all routed gradients."""
+    n, c, h, w = x_shape
+    oh, ow = grad.shape[2:]
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad.dtype)
+    rows = (np.arange(oh).reshape(oh, 1) * stride + arg // kernel).reshape(n, c, -1)
+    cols = (np.arange(ow) * stride + arg % kernel).reshape(n, c, -1)
+    np.add.at(dxp, (np.arange(n).reshape(n, 1, 1), np.arange(c).reshape(1, c, 1), rows, cols),
+              grad.reshape(n, c, -1))
+    return dxp[:, :, padding:padding + h, padding:padding + w]
+
+
+@pytest.mark.parametrize("n,c,h,w,kernel,stride,padding", POOL_CASES + [(2, 3, 12, 12, 3, 2, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_former_kernels_bit_for_bit(n, c, h, w, kernel, stride, padding, dtype):
+    # Few distinct values, so most windows hold ties; signed zeros, -inf and NaN included.
+    rng = np.random.default_rng(23)
+    x = rng.choice(np.array([-2.0, -1.0, -0.0, 0.0, 1.0, -np.inf, np.nan]), (n, c, h, w),
+                   p=[0.2, 0.2, 0.2, 0.2, 0.14, 0.03, 0.03]).astype(dtype)
+    out, arg = K.maxpool_forward(x, kernel, stride, padding)
+    ref_out, ref_arg = maxpool_forward_former(x, kernel, stride, padding)
+    assert out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
+    assert arg.dtype == np.int64 and np.array_equal(arg, ref_arg)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    dx = K.maxpool_backward(g, arg, x.shape, kernel, stride, padding)
+    ref_dx = maxpool_backward_former(g, ref_arg, x.shape, kernel, stride, padding)
+    assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(ref_dx).tobytes()
+
+
+def test_maxpool_window_with_nan_is_nan():
+    x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+    x[0, 0, 1, 1] = x[0, 0, 3, 2] = np.nan
+    out, arg = K.maxpool_forward(x, 2, 2, 0)
+    assert np.isnan(out[0, 0, 0, 0]) and arg[0, 0, 0, 0] == 3
+    assert np.isnan(out[0, 0, 1, 1]) and arg[0, 0, 1, 1] == 2
+    np.testing.assert_array_equal(out[0, 0, [0, 1], [1, 0]], [7.0, 13.0])
+
+
+def test_max_pool_rejects_padding_over_half_kernel():
+    # padding 2 with kernel 2 gave windows wholly in the padding, emitted as -inf
+    x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="padding"):
+        max_pool2d(x, 2, 2, 2)
+    with pytest.raises(ValueError, match="padding"):
+        max_pool2d(x, 3, 1, 2)
+    assert max_pool2d(x, 3, 2, 1).data.shape == (1, 1, 1, 1)
 
 
 def test_kernels_preserve_dtype():

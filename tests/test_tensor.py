@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparseagg import tensor as tensor_module
 from sparseagg.errors import CheckpointError
 from sparseagg.gradcheck import check_gradients
 from sparseagg.tensor import (
@@ -426,34 +427,39 @@ def conv_against_saved_patches(k, stride, padding, seed):
     return (out.data, xt.grad, wt.grad), conv_saved_patches(x, w, g, stride, padding)
 
 
+def assert_within_8_ulps(got, ref):
+    """Within 8 float32 ulps of the largest magnitude in ``ref``."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    atol = 8 * np.finfo(np.float32).eps * np.abs(ref).max()
+    np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+
 CONV_REFERENCE_CASES = [(3, 1, 1), (3, 1, 0), (3, 2, 1), (1, 1, 0)]
 
 
 @pytest.mark.parametrize("k,stride,padding", CONV_REFERENCE_CASES)
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_matches_saved_patch_reference_bit_for_bit(k, stride, padding, seed):
-    # Where the summation order is unchanged the bits are too: every 1x1 output, and the
-    # 3x3 input gradient (each tap's GEMM runs over the same O products, and the taps are
-    # added in the same (ky, kx) order).  The 3x3 out and dw are pinned in ulps below.
+    # Where the summation order is unchanged the bits are too: every 1x1 output and
+    # gradient (one tap, one GEMM each).  The 3x3 out, dx and dw are pinned in ulps below.
     (out, dx, dw), (ref_out, ref_dx, ref_dw) = conv_against_saved_patches(k, stride, padding, seed)
-    assert same_bits(dx, ref_dx)
     if k == 1:
         assert same_bits(out, ref_out)
+        assert same_bits(dx, ref_dx)
         assert same_bits(dw, ref_dw)
 
 
 @pytest.mark.parametrize("k,stride,padding", CONV_REFERENCE_CASES[:3])
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_3x3_out_and_dw_within_ulps_of_saved_patch_reference(k, stride, padding, seed):
-    # 3x3 out sums C*9 products tap by tap instead of in (c, ky, kx) order, and dw's
-    # GEMM runs over the whole padded grid instead of the oh*ow patch columns, so their
-    # rounding differs: allow 8 float32 ulps of the array's largest magnitude (at most
-    # 3.6 seen over 20 seeds).
-    (out, _, dw), (ref_out, _, ref_dw) = conv_against_saved_patches(k, stride, padding, seed)
-    for got, ref in [(out, ref_out), (dw, ref_dw)]:
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        atol = 8 * np.finfo(np.float32).eps * np.abs(ref).max()
-        np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+    # 3x3 out sums C*9 products tap by tap instead of in (c, ky, kx) order, dw's GEMM
+    # runs over the whole padded grid instead of the oh*ow patch columns, and dx is one
+    # GEMM over all 9*O stacked tap gradients instead of 9 GEMMs added tap by tap, so
+    # their rounding differs: allow 8 float32 ulps of the array's largest magnitude (at
+    # most 3.6 seen over 20 seeds).
+    (out, dx, dw), (ref_out, ref_dx, ref_dw) = conv_against_saved_patches(k, stride, padding, seed)
+    for got, ref in [(out, ref_out), (dx, ref_dx), (dw, ref_dw)]:
+        assert_within_8_ulps(got, ref)
 
 
 def test_conv_forward_backward_peaks_below_patch_matrix():
@@ -487,6 +493,56 @@ def test_conv_forward_does_not_retain_patches():
         tracemalloc.stop()
     assert out._backward is not None
     assert live < patch_bytes, (live, patch_bytes)
+
+
+# A chunk narrower than the largest tap offset (22 at 8x8 padded by 1) that divides
+# none of the N*Hp*Wp grid widths, so every chunk seam cuts through tap windows.
+SEAM_CHUNK = 7
+
+
+@pytest.mark.parametrize("k,stride,padding", CONV_REFERENCE_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_conv_backward_chunk_seams_within_ulps_of_saved_patch_reference(
+        monkeypatch, k, stride, padding, seed):
+    monkeypatch.setattr(tensor_module, "_BACKWARD_CHUNK", SEAM_CHUNK)
+    (out, dx, dw), (ref_out, ref_dx, ref_dw) = conv_against_saved_patches(k, stride, padding, seed)
+    for got, ref in [(out, ref_out), (dx, ref_dx), (dw, ref_dw)]:
+        assert_within_8_ulps(got, ref)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("seed", range(5))
+def test_fd_conv_at_chunk_seams(monkeypatch, stride, seed):
+    monkeypatch.setattr(tensor_module, "_BACKWARD_CHUNK", SEAM_CHUNK)
+    rng = np.random.default_rng(700 + seed)
+    h = 6 if stride == 1 else 7
+    x = rand64(rng, (2, 3, h, h))
+    w = rand64(rng, (4, 3, 3, 3))
+    oh = (h + 2 - 3) // stride + 1
+    proj = rng.standard_normal((2, 4, oh, oh))
+    report = check_gradients(
+        lambda a, b: weighted_sum(conv2d(a, b, stride=stride, padding=1), proj), [x, w])
+    assert report.passed, report.max_rel_error
+
+
+def test_conv_backward_stack_stays_chunk_sized():
+    # Unchunked, the (9*O, N*Hp*Wp) gradient stack alone would be 8.0 MB against a
+    # 0.59 MB operand, and the backward peak 10.9 MB.  Chunked, the peak was 3.32 MB:
+    # out's 0.79 MB gradient, the zero-led gradient grid, the operand and its gradient,
+    # and one 0.44 MB stack.
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((16, 8, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((12, 8, 3, 3)).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal((16, 12, 32, 32)).astype(np.float32)
+    out = conv2d(x, w, padding=1)
+    tracemalloc.start()
+    try:
+        out.backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and w.grad is not None
+    assert peak < 3_600_000, peak
 
 
 @pytest.mark.parametrize("seed", range(5))
