@@ -42,7 +42,6 @@ from .topology import (
     Plain,
     Sparse,
     build_graph,
-    count_edges,
     export_dot,
     export_json,
     format_topology,
@@ -88,7 +87,6 @@ __all__ = [
     "check_gradients",
     "compare_topologies",
     "compile_network",
-    "count_edges",
     "evaluate",
     "export_dot",
     "export_heatmap",

@@ -3,18 +3,26 @@
 ``NetworkSpec`` describes a network symbolically: an aggregation family
 (how predecessor outputs are combined), a skip topology, per-block layer
 counts and widths, a stem, and a classifier.  ``plan_network`` expands the
-spec into a concrete layer-by-layer plan with channel counts and spatial
-sizes; ``analyze`` prices that plan in parameters and FLOPs without
-building any tensors.
+spec into a ``NetworkPlan`` of units; ``analyze`` prices that plan in
+parameters and FLOPs without building any tensors.
+
+Every unit -- the stem, each layer, each transition and the classifier --
+is one ``Unit``: the ``(pred, lo, hi)`` channel slice that each predecessor
+fills in the aggregated input, and an ordered op list of ``Conv``,
+``BnRelu``, ``Pool`` and ``Linear`` ops run on that input.  The executor
+(``model.Network``), the cost analyzer and the heat-map slicer all read
+this one description.  The stem's single predecessor is the input image,
+which it reads without aggregation.
 
 Conventions baked into the planner (chosen to reproduce the standard
 densely-concatenated CIFAR/ImageNet reference models exactly):
 
-* Units are pre-activation BN-ReLU-Conv by default; convolutions carry no
-  bias (the following BN absorbs it).  A ``unit_order="postact"`` switch
-  flips units to Conv-BN-ReLU.
+* Units are pre-activation BN-ReLU-Conv; convolutions carry no bias (the
+  following BN absorbs it).
 * Bottleneck units (concat family only) are BN-ReLU-Conv1x1 to ``4*k``
   followed by BN-ReLU-Conv3x3 to ``k``.
+* A strided stem is the large-input variant: BN-ReLU and a 3x3/2
+  max-pool follow its convolution.
 * A transition between blocks takes the aggregation evaluated at the
   virtual index one past the block's last layer (under the block's own
   topology rule), applies BN-ReLU-Conv1x1 to ``floor(compression *
@@ -51,7 +59,7 @@ __all__ = [
     "BlockSpec",
     "NetworkSpec",
     "NetworkPlan",
-    "LayerPlan",
+    "Unit",
     "CostReport",
     "plan_network",
     "analyze",
@@ -62,7 +70,6 @@ __all__ = [
 ]
 
 FAMILIES = ("sum", "concat", "average")
-UNIT_ORDERS = ("preact", "postact")
 
 
 def _positive(value, name):
@@ -95,11 +102,6 @@ class StemSpec:
         if self.kernel % 2 == 0:
             raise SpecFormatError(f"stem.kernel must be odd, got {self.kernel}")
 
-    @property
-    def max_pool(self) -> bool:
-        # A strided stem is the large-input variant: 3x3/2 max-pool follows.
-        return self.stride > 1
-
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -129,14 +131,11 @@ class NetworkSpec:
     input: InputSpec
     bottleneck: bool = False
     compression: float = 1.0
-    unit_order: str = "preact"
     allow_projection: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SpecFormatError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.unit_order not in UNIT_ORDERS:
-            raise SpecFormatError(f"unit_order must be one of {UNIT_ORDERS}, got {self.unit_order!r}")
         if not self.blocks:
             raise SpecFormatError("at least one block required")
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -172,7 +171,9 @@ class NetworkSpec:
             "input": dataclasses.asdict(self.input),
             "bottleneck": self.bottleneck,
             "compression": self.compression,
-            "unit_order": self.unit_order,
+            # Units are always pre-activation; the key stays so that spec
+            # hashes and checkpoints written with it keep validating.
+            "unit_order": "preact",
             "allow_projection": self.allow_projection,
         }
 
@@ -216,8 +217,13 @@ def spec_from_json_obj(obj: dict) -> NetworkSpec:
     _take(obj["stem"], "stem", required=("out_channels", "kernel", "stride"))
     _take(obj["input"], "input", required=("height", "width", "channels"))
     bottleneck = obj.get("bottleneck", False)
-    if not isinstance(bottleneck, bool):
-        raise SpecFormatError("bottleneck must be a boolean")
+    allow_projection = obj.get("allow_projection", True)
+    for key, value in (("bottleneck", bottleneck), ("allow_projection", allow_projection)):
+        if not isinstance(value, bool):
+            raise SpecFormatError(f"{key} must be a boolean")
+    if obj.get("unit_order", "preact") != "preact":
+        raise SpecFormatError(
+            f"unit_order must be 'preact' (BN-ReLU-Conv units), got {obj['unit_order']!r}")
     compression = obj.get("compression", 0.5 if bottleneck else 1.0)
     if not isinstance(compression, (int, float)) or isinstance(compression, bool):
         raise SpecFormatError("compression must be a number")
@@ -230,8 +236,7 @@ def spec_from_json_obj(obj: dict) -> NetworkSpec:
         input=InputSpec(**obj["input"]),
         bottleneck=bottleneck,
         compression=float(compression),
-        unit_order=obj.get("unit_order", "preact"),
-        allow_projection=obj.get("allow_projection", True),
+        allow_projection=allow_projection,
     )
 
 
@@ -254,7 +259,7 @@ def save_spec(spec: NetworkSpec, path) -> None:
 
 
 @dataclass(frozen=True)
-class ConvPlan:
+class Conv:
     name: str
     in_channels: int
     out_channels: int
@@ -266,80 +271,88 @@ class ConvPlan:
 
 
 @dataclass(frozen=True)
-class NormPlan:
+class BnRelu:
+    """Batch norm followed by ReLU; every batch norm in these networks is."""
+
     name: str
     channels: int
 
 
 @dataclass(frozen=True)
-class LinearPlan:
+class Pool:
+    """``kind`` is "max" (kernel/stride/padding), "avg" (stride x stride) or "global"."""
+
+    kind: str
+    kernel: int = 0
+    stride: int = 0
+    padding: int = 0
+
+
+@dataclass(frozen=True)
+class Linear:
     name: str
     in_features: int
     out_features: int
 
 
-@dataclass(frozen=True)
-class StemPlan:
-    convs: tuple[ConvPlan, ...]
-    norms: tuple[NormPlan, ...]
-    out_channels: int
-    spatial: tuple[int, int]
-    max_pool: bool
+Op = Conv | BnRelu | Pool | Linear
 
 
 @dataclass(frozen=True)
-class LayerPlan:
-    block: int
-    index: int
-    predecessors: tuple[int, ...]
-    in_channels: int
-    bottleneck_channels: int
+class Unit:
+    """One unit: aggregate the predecessors' outputs, then run ``ops`` in order.
+
+    ``slices`` holds one ``(pred, lo, hi)`` per predecessor, in aggregation
+    order: the channels of the aggregated input that predecessor fills
+    (consecutive for concat, ``(pred, 0, width)`` for sum and average).
+    """
+
+    row: str     # CostReport row: "stem", "<block>.<layer>", "transition<block>", "classifier"
+    block: int   # CostReport block number: 0 for the stem
+    slices: tuple[tuple[int, int, int], ...]
     out_channels: int
-    spatial: tuple[int, int]
-    op_sequence: str
-    convs: tuple[ConvPlan, ...]
-    norms: tuple[NormPlan, ...]
+    ops: tuple[Op, ...]
+    predecessors: tuple[int, ...] = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        # Derived once, at plan time: forward reads it several times per layer.
+        object.__setattr__(self, "predecessors", tuple(p for p, _, _ in self.slices))
+
+    @property
+    def in_channels(self) -> int:
+        return _span(self.slices)
 
 
 @dataclass(frozen=True)
 class BlockPlan:
     index: int
-    num_layers: int
-    input_channels: int
-    spatial: tuple[int, int]
-    layers: tuple[LayerPlan, ...]
+    layers: tuple[Unit, ...]
 
-
-@dataclass(frozen=True)
-class TransitionPlan:
-    block: int
-    predecessors: tuple[int, ...]
-    in_channels: int
-    out_channels: int
-    spatial_in: tuple[int, int]
-    spatial_out: tuple[int, int]
-    pool: int
-    convs: tuple[ConvPlan, ...]
-    norms: tuple[NormPlan, ...]
-
-
-@dataclass(frozen=True)
-class ClassifierPlan:
-    predecessors: tuple[int, ...]
-    in_channels: int
-    num_classes: int
-    spatial: tuple[int, int]
-    norms: tuple[NormPlan, ...]
-    linear: LinearPlan
+    @property
+    def num_layers(self) -> int:
+        return len(self.layers)
 
 
 @dataclass(frozen=True)
 class NetworkPlan:
     spec: NetworkSpec
-    stem: StemPlan
+    stem: Unit
     blocks: tuple[BlockPlan, ...]
-    transitions: tuple[TransitionPlan, ...]
-    classifier: ClassifierPlan
+    transitions: tuple[Unit, ...]
+    classifier: Unit
+
+    @property
+    def exits(self) -> tuple[Unit, ...]:
+        """Per block, the unit that reads its closing aggregation."""
+        return (*self.transitions, self.classifier)
+
+    @property
+    def units(self):
+        """Every unit in forward order, which is also CostReport row order."""
+        yield self.stem
+        for block, exit_unit in zip(self.blocks, self.exits):
+            yield from block.layers
+            yield exit_unit
 
     def to_json(self) -> str:
         obj = dataclasses.asdict(self)
@@ -351,32 +364,38 @@ def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _layer_channels(spec: NetworkSpec, block: BlockSpec, block_in: int, preds: list[int]) -> int:
-    if spec.family == "concat":
-        return sum(block_in if p == 0 else block.growth_rate for p in preds)
-    return block.width
+def _span(slices) -> int:
+    return max(hi for _, _, hi in slices)
+
+
+def _slices(family: str, preds: list[int], widths: dict[int, int]) -> tuple:
+    """``(pred, lo, hi)`` of each predecessor in the aggregated input."""
+    if family != "concat":
+        return tuple((p, 0, widths[p]) for p in preds)
+    slices, lo = [], 0
+    for p in preds:
+        slices.append((p, lo, lo + widths[p]))
+        lo += widths[p]
+    return tuple(slices)
 
 
 def plan_network(spec: NetworkSpec) -> NetworkPlan:
-    """Expand a spec into concrete per-layer channel and spatial sizes."""
+    """Expand a spec into units with concrete channel slices and op lists."""
     if isinstance(spec.topology, Fractal):
         raise PlanError("fractal topology supports edge counting and visualization only")
-    preact = spec.unit_order == "preact"
 
-    h = _conv_out(spec.input.height, spec.stem.kernel, spec.stem.stride, spec.stem.kernel // 2)
-    w = _conv_out(spec.input.width, spec.stem.kernel, spec.stem.stride, spec.stem.kernel // 2)
-    stem_convs = (
-        ConvPlan("stem.conv", spec.input.channels, spec.stem.out_channels,
-                 spec.stem.kernel, spec.stem.stride, spec.stem.kernel // 2, h, w),
-    )
-    stem_norms = (NormPlan("stem.bn", spec.stem.out_channels),) if spec.stem.max_pool else ()
-    if spec.stem.max_pool:
+    k, s = spec.stem.kernel, spec.stem.stride
+    h = _conv_out(spec.input.height, k, s, k // 2)
+    w = _conv_out(spec.input.width, k, s, k // 2)
+    block_in = spec.stem.out_channels
+    ops = [Conv("stem.conv", spec.input.channels, block_in, k, s, k // 2, h, w)]
+    if s > 1:
+        ops += [BnRelu("stem.bn", block_in), Pool("max", 3, 2, 1)]
         h, w = _conv_out(h, 3, 2, 1), _conv_out(w, 3, 2, 1)
-    stem = StemPlan(stem_convs, stem_norms, spec.stem.out_channels, (h, w), spec.stem.max_pool)
+    stem = Unit("stem", 0, ((0, 0, spec.input.channels),), block_in, tuple(ops))
 
     blocks: list[BlockPlan] = []
-    transitions: list[TransitionPlan] = []
-    block_in = spec.stem.out_channels
+    transitions: list[Unit] = []
     for bi, bspec in enumerate(spec.blocks, start=1):
         if spec.family in ("sum", "average") and block_in != bspec.width:
             # widths changed without a projection in front of this block
@@ -384,72 +403,56 @@ def plan_network(spec: NetworkSpec) -> NetworkPlan:
                 f"block {bi} expects width {bspec.width} but receives {block_in}; "
                 "enable allow_projection or match the widths"
             )
+        width = bspec.growth_rate if spec.family == "concat" else bspec.width
+        widths = {0: block_in}
         layers = []
         for li in range(1, bspec.num_layers + 1):
-            preds = predecessors(spec.topology, li)
-            in_ch = _layer_channels(spec, bspec, block_in, preds)
-            out_ch = bspec.growth_rate if spec.family == "concat" else bspec.width
+            slices = _slices(spec.family, predecessors(spec.topology, li), widths)
+            in_ch = _span(slices)
             prefix = f"block{bi}.layer{li}"
-            convs = []
-            norms = []
             if spec.bottleneck:
                 mid = 4 * bspec.growth_rate
-                convs.append(ConvPlan(f"{prefix}.conv1", in_ch, mid, 1, 1, 0, h, w))
-                convs.append(ConvPlan(f"{prefix}.conv2", mid, out_ch, 3, 1, 1, h, w))
-                if preact:
-                    norms = [NormPlan(f"{prefix}.bn1", in_ch), NormPlan(f"{prefix}.bn2", mid)]
-                    seq = f"bn-relu-conv1x1({in_ch}->{mid})|bn-relu-conv3x3({mid}->{out_ch})"
-                else:
-                    norms = [NormPlan(f"{prefix}.bn1", mid), NormPlan(f"{prefix}.bn2", out_ch)]
-                    seq = f"conv1x1({in_ch}->{mid})-bn-relu|conv3x3({mid}->{out_ch})-bn-relu"
-                mid_ch = mid
+                ops = [BnRelu(f"{prefix}.bn1", in_ch),
+                       Conv(f"{prefix}.conv1", in_ch, mid, 1, 1, 0, h, w),
+                       BnRelu(f"{prefix}.bn2", mid),
+                       Conv(f"{prefix}.conv2", mid, width, 3, 1, 1, h, w)]
             else:
-                convs.append(ConvPlan(f"{prefix}.conv1", in_ch, out_ch, 3, 1, 1, h, w))
-                if preact:
-                    norms = [NormPlan(f"{prefix}.bn1", in_ch)]
-                    seq = f"bn-relu-conv3x3({in_ch}->{out_ch})"
-                else:
-                    norms = [NormPlan(f"{prefix}.bn1", out_ch)]
-                    seq = f"conv3x3({in_ch}->{out_ch})-bn-relu"
-                mid_ch = 0
-            layers.append(LayerPlan(bi, li, tuple(preds), in_ch, mid_ch, out_ch,
-                                    (h, w), seq, tuple(convs), tuple(norms)))
-        blocks.append(BlockPlan(bi, bspec.num_layers, block_in, (h, w), tuple(layers)))
+                ops = [BnRelu(f"{prefix}.bn1", in_ch),
+                       Conv(f"{prefix}.conv1", in_ch, width, 3, 1, 1, h, w)]
+            layers.append(Unit(f"{bi}.{li}", bi, slices, width, tuple(ops)))
+            widths[li] = width
+        blocks.append(BlockPlan(bi, tuple(layers)))
 
-        close_preds = predecessors(spec.topology, bspec.num_layers + 1)
-        close_ch = _layer_channels(spec, bspec, block_in, close_preds)
-        last = bi == len(spec.blocks)
-        if not last:
-            nxt = spec.blocks[bi]
-            if spec.family == "concat":
-                out_ch = int(spec.compression * close_ch)
-            else:
-                out_ch = nxt.width
-            stride = bspec.spatial_stride_out
-            ph, pw = h // stride, w // stride
-            prefix = f"transition{bi}"
-            convs = []
-            norms = []
-            if spec.family == "concat" or out_ch != close_ch:
-                if spec.family in ("sum", "average") and not spec.allow_projection:
-                    raise PlanError(
-                        f"width changes from {close_ch} to {out_ch} after block {bi} "
-                        "but allow_projection is off"
-                    )
-                convs.append(ConvPlan(f"{prefix}.conv", close_ch, out_ch, 1, 1, 0, h, w))
-                bn_ch = close_ch if preact else out_ch
-            else:
-                out_ch = close_ch
-                bn_ch = close_ch
-            norms.append(NormPlan(f"{prefix}.bn", bn_ch))
-            transitions.append(TransitionPlan(bi, tuple(close_preds), close_ch, out_ch,
-                                              (h, w), (ph, pw), stride, tuple(convs), tuple(norms)))
-            block_in = out_ch
-            h, w = ph, pw
+        slices = _slices(spec.family, predecessors(spec.topology, bspec.num_layers + 1), widths)
+        close_ch = _span(slices)
+        if bi == len(spec.blocks):
+            ops = [BnRelu("classifier.bn", close_ch), Pool("global"),
+                   Linear("classifier.fc", close_ch, spec.num_classes)]
+            classifier = Unit("classifier", bi, slices, spec.num_classes, tuple(ops))
+            break
+        if spec.family == "concat":
+            out_ch = int(spec.compression * close_ch)
         else:
-            cls_norms = (NormPlan("classifier.bn", close_ch),) if preact else ()
-            classifier = ClassifierPlan(tuple(close_preds), close_ch, spec.num_classes, (h, w),
-                                        cls_norms, LinearPlan("classifier.fc", close_ch, spec.num_classes))
+            out_ch = spec.blocks[bi].width
+        prefix = f"transition{bi}"
+        ops = [BnRelu(f"{prefix}.bn", close_ch)]
+        if spec.family == "concat" or out_ch != close_ch:
+            if spec.family in ("sum", "average") and not spec.allow_projection:
+                raise PlanError(
+                    f"width changes from {close_ch} to {out_ch} after block {bi} "
+                    "but allow_projection is off"
+                )
+            ops.append(Conv(f"{prefix}.conv", close_ch, out_ch, 1, 1, 0, h, w))
+        stride = bspec.spatial_stride_out
+        if h % stride or w % stride:
+            raise PlanError(
+                f"{prefix} average-pools by {stride}, but block {bi} is {h}x{w}; "
+                "choose an input size that every pooling stride divides"
+            )
+        ops.append(Pool("avg", stride, stride))
+        transitions.append(Unit(prefix, bi, slices, out_ch, tuple(ops)))
+        block_in = out_ch
+        h, w = h // stride, w // stride
 
     return NetworkPlan(spec, stem, tuple(blocks), tuple(transitions), classifier)
 
@@ -491,51 +494,27 @@ class CostReport:
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _conv_cost(conv: ConvPlan) -> tuple[int, int]:
-    params = conv.in_channels * conv.out_channels * conv.kernel * conv.kernel
-    flops = 2 * conv.out_h * conv.out_w * params
-    return params, flops
-
-
-def _group_cost(convs, norms, linear=None) -> tuple[int, int]:
-    params = 0
-    flops = 0
-    for conv in convs:
-        p, f = _conv_cost(conv)
-        params += p
-        flops += f
-    for norm in norms:
-        params += 2 * norm.channels
-    if linear is not None:
-        params += linear.in_features * linear.out_features + linear.out_features
-        flops += 2 * linear.in_features * linear.out_features
-    return params, flops
+def _op_cost(op: Op) -> tuple[int, int]:
+    """(params, FLOPs) of one op; batch-norm scale and shift count as parameters."""
+    if isinstance(op, Conv):
+        params = op.in_channels * op.out_channels * op.kernel * op.kernel
+        return params, 2 * op.out_h * op.out_w * params
+    if isinstance(op, BnRelu):
+        return 2 * op.channels, 0
+    if isinstance(op, Linear):
+        macs = op.in_features * op.out_features
+        return macs + op.out_features, 2 * macs
+    return 0, 0
 
 
 def analyze(spec: NetworkSpec | NetworkPlan) -> CostReport:
-    """Price every layer of the planned network in parameters and FLOPs."""
+    """Price every unit of the planned network in parameters and FLOPs."""
     plan = plan_network(spec) if isinstance(spec, NetworkSpec) else spec
     rows: list[CostRow] = []
-
-    params, flops = _group_cost(plan.stem.convs, plan.stem.norms)
-    rows.append(CostRow("stem", 0, plan.spec.input.channels, plan.stem.out_channels, params, flops))
-
-    transitions = {t.block: t for t in plan.transitions}
-    for block in plan.blocks:
-        for layer in block.layers:
-            params, flops = _group_cost(layer.convs, layer.norms)
-            rows.append(CostRow(f"{block.index}.{layer.index}", block.index,
-                                layer.in_channels, layer.out_channels, params, flops))
-        trans = transitions.get(block.index)
-        if trans is not None:
-            params, flops = _group_cost(trans.convs, trans.norms)
-            rows.append(CostRow(f"transition{trans.block}", trans.block,
-                                trans.in_channels, trans.out_channels, params, flops))
-
-    cls = plan.classifier
-    params, flops = _group_cost((), cls.norms, cls.linear)
-    rows.append(CostRow("classifier", len(plan.blocks), cls.in_channels, cls.num_classes, params, flops))
-
+    for unit in plan.units:
+        costs = [_op_cost(op) for op in unit.ops]
+        rows.append(CostRow(unit.row, unit.block, unit.in_channels, unit.out_channels,
+                            sum(p for p, _ in costs), sum(f for _, f in costs)))
     total_params = sum(r.params for r in rows)
     total_flops = sum(r.flops for r in rows)
     return CostReport(tuple(rows), total_params, total_flops)

@@ -1,11 +1,12 @@
 """Feature-reuse heat maps from trained convolution weights.
 
 For concat-family networks, each layer's first convolution sees its
-predecessors stacked along channels in a known order, so the mean absolute
-weight over each source's channel slice measures how much the layer reads
-from that source.  One matrix per block: row = target layer (1..n),
-column = source (0 = block input .. n), entries min-max normalized per row
-over the sources that are actually wired; constant rows normalize to 1.
+predecessors stacked along channels, each in the channel slice its plan
+unit records, so the mean absolute weight over each source's slice
+measures how much the layer reads from that source.  One matrix per block:
+row = target layer (1..n), column = source (0 = block input .. n), entries
+min-max normalized per row over the sources that are actually wired;
+constant rows normalize to 1.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .architecture import spec_hash
+from .architecture import Conv, spec_hash
 from .errors import DataFormatError, PlanError
 from .model import Network
+from .topology import format_topology
 
 __all__ = [
     "BlockHeatmap",
@@ -76,23 +78,13 @@ def weight_heatmap(net: Network, epoch: int | None = None) -> HeatmapReport:
         n = bp.num_layers
         raw = np.zeros((n, n + 1))
         mask = np.zeros((n, n + 1), dtype=bool)
-        for lp in bp.layers:
-            w = net.params[lp.convs[0].name].data
-            offset = 0
-            for p in lp.predecessors:
-                width = bp.input_channels if p == 0 else spec.blocks[bp.index - 1].growth_rate
-                piece = w[:, offset:offset + width]
-                raw[lp.index - 1, p] = float(np.abs(piece).mean())
-                mask[lp.index - 1, p] = True
-                offset += width
-            if offset != w.shape[1]:
-                raise PlanError(
-                    f"heat map slicing covered {offset} of {w.shape[1]} input channels "
-                    f"in block {bp.index} layer {lp.index}"
-                )
+        for row, unit in enumerate(bp.layers):
+            conv = next(op for op in unit.ops if isinstance(op, Conv))
+            w = net.params[conv.name].data
+            for p, lo, hi in unit.slices:
+                raw[row, p] = float(np.abs(w[:, lo:hi]).mean())
+                mask[row, p] = True
         blocks.append(BlockHeatmap(bp.index, raw, _normalize_rows(raw, mask), mask))
-    from .topology import format_topology
-
     return HeatmapReport(tuple(blocks), spec_hash(spec), format_topology(spec.topology), epoch)
 
 

@@ -1,25 +1,34 @@
 """Compile network plans into executable parameter sets and run them.
 
-``compile_network`` materializes every convolution, batch norm, and linear
-layer of a plan as float tensors with seeded He initialization.  The
-resulting ``Network.forward`` walks the plan block by block, keeping a
-per-block cache of layer outputs that is evicted as soon as the last
-consumer has read each entry, so sparse topologies genuinely hold fewer
-live activations than dense ones.
+``compile_network`` materializes the parameters of every op in the plan's
+units -- convolutions, batch norms, the classifier's linear layer -- as
+float tensors with seeded He initialization.  ``Network.forward`` runs the
+stem's op list on the input, then for each block aggregates every layer's
+predecessors and runs its op list, keeping a per-block cache of layer
+outputs that is evicted as soon as the last consumer has read each entry
+(so sparse topologies genuinely hold fewer live activations than dense
+ones), and finally runs the block's exit unit (transition or classifier)
+on the block's closing aggregation.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .architecture import (
+    BnRelu,
+    Conv,
+    Linear,
     NetworkPlan,
     NetworkSpec,
+    Op,
+    Unit,
     plan_network,
     spec_from_json_obj,
     spec_hash,
@@ -36,6 +45,11 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "aggnet-checkpoint-v1"
+# JSON types of the manifest fields that load_checkpoint reads.
+_MANIFEST_FIELDS = {"spec": dict, "spec_hash": str, "seed": int, "dtype": str,
+                    "params": list, "bn_states": dict}
+_BN_META_FIELDS = {"steps": int, "eps": (int, float), "momentum": (int, float)}
+_FLOAT_DTYPES = ("float16", "float32", "float64")
 
 @dataclass
 class ForwardStats:
@@ -84,38 +98,38 @@ class Network:
         for p in self.params.values():
             p.zero_grad()
 
-    # -- building blocks ----------------------------------------------------
-
-    def _bn(self, name: str, x: Tensor, training: bool) -> Tensor:
-        return T.batch_norm(x, self.params[f"{name}.gamma"], self.params[f"{name}.beta"],
-                            self.bn_states[name], training)
-
-    def _conv(self, plan_conv, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.params[plan_conv.name], plan_conv.stride, plan_conv.padding)
-
-    def _layer(self, lp, x: Tensor, training: bool) -> Tensor:
-        preact = self.spec.unit_order == "preact"
-        prefix = f"block{lp.block}.layer{lp.index}"
-        if self.spec.bottleneck:
-            if preact:
-                x = T.relu(self._bn(f"{prefix}.bn1", x, training))
-                x = self._conv(lp.convs[0], x)
-                x = T.relu(self._bn(f"{prefix}.bn2", x, training))
-                return self._conv(lp.convs[1], x)
-            x = self._conv(lp.convs[0], x)
-            x = T.relu(self._bn(f"{prefix}.bn1", x, training))
-            x = self._conv(lp.convs[1], x)
-            return T.relu(self._bn(f"{prefix}.bn2", x, training))
-        if preact:
-            x = T.relu(self._bn(f"{prefix}.bn1", x, training))
-            return self._conv(lp.convs[0], x)
-        x = self._conv(lp.convs[0], x)
-        return T.relu(self._bn(f"{prefix}.bn1", x, training))
-
-    def _aggregate(self, cache: dict[int, Tensor], preds: tuple[int, ...]) -> Tensor:
-        return T.aggregate(self.spec.family, [cache[p] for p in preds])
-
     # -- forward ------------------------------------------------------------
+
+    def _op(self, op: Op, x: Tensor, training: bool) -> Tensor:
+        # Ops are looked up on the tensor module at call time, so that a
+        # profiler can wrap them; each takes its parameter positionally.
+        if isinstance(op, Conv):
+            return T.conv2d(x, self.params[op.name], op.stride, op.padding)
+        if isinstance(op, BnRelu):
+            return T.relu(T.batch_norm(x, self.params[f"{op.name}.gamma"],
+                                       self.params[f"{op.name}.beta"], self.bn_states[op.name],
+                                       training))
+        if isinstance(op, Linear):
+            return T.linear(x, self.params[f"{op.name}.weight"], self.params[f"{op.name}.bias"])
+        if op.kind == "max":
+            return T.max_pool2d(x, op.kernel, op.stride, op.padding)
+        if op.kind == "avg":
+            return T.avg_pool2d(x, op.stride)
+        return T.global_avg_pool(x)
+
+    def _unit(self, unit: Unit, x: Tensor, training: bool) -> Tensor:
+        for op in unit.ops:
+            x = self._op(op, x, training)
+        return x
+
+    def _gather(self, cache: dict[int, Tensor], remaining: Counter, unit: Unit) -> Tensor:
+        """Aggregate ``unit``'s predecessors, evicting each after its last read."""
+        agg = T.aggregate(self.spec.family, [cache[p] for p in unit.predecessors])
+        for p in unit.predecessors:
+            remaining[p] -= 1
+            if remaining[p] == 0:
+                del cache[p]
+        return agg
 
     def forward(self, x, training: bool = False, stats: ForwardStats | None = None) -> Tensor:
         """Run the network; returns logits (N, num_classes)."""
@@ -129,86 +143,27 @@ class Network:
                 f"(N, {inp.channels}, {inp.height}, {inp.width})"
             )
 
-        preact = self.spec.unit_order == "preact"
-        out = self._conv(self.plan.stem.convs[0], x)
-        if self.plan.stem.max_pool:
-            out = T.relu(self._bn("stem.bn", out, training))
-            out = T.max_pool2d(out, 3, 2, 1)
-
-        for bi, bp in enumerate(self.plan.blocks, start=1):
-            close_preds = (self.plan.transitions[bi - 1].predecessors
-                           if bi <= len(self.plan.transitions)
-                           else self.plan.classifier.predecessors)
-            remaining: dict[int, int] = {}
-            for lp in bp.layers:
-                for p in lp.predecessors:
-                    remaining[p] = remaining.get(p, 0) + 1
-            for p in close_preds:
-                remaining[p] = remaining.get(p, 0) + 1
-
+        out = self._unit(self.plan.stem, x, training)
+        for block, exit_unit in zip(self.plan.blocks, self.plan.exits):
+            remaining = Counter(p for unit in (*block.layers, exit_unit) for p in unit.predecessors)
             cache: dict[int, Tensor] = {0: out}
             peak = 1
-            for lp in bp.layers:
-                agg = self._aggregate(cache, lp.predecessors)
-                for p in lp.predecessors:
-                    remaining[p] -= 1
-                    if remaining[p] == 0:
-                        del cache[p]
-                cache[lp.index] = self._layer(lp, agg, training)
+            for li, unit in enumerate(block.layers, start=1):
+                # No local holds the aggregate, so without a graph it is
+                # freed as soon as the unit has run.
+                cache[li] = self._unit(unit, self._gather(cache, remaining, unit), training)
                 peak = max(peak, len(cache))
             if stats is not None:
                 stats.observe(peak)
-
-            closed = self._aggregate(cache, close_preds)
-            cache.clear()
-            if bi <= len(self.plan.transitions):
-                tp = self.plan.transitions[bi - 1]
-                out = closed
-                if preact:
-                    out = T.relu(self._bn(f"transition{bi}.bn", out, training))
-                    if tp.convs:
-                        out = self._conv(tp.convs[0], out)
-                else:
-                    if tp.convs:
-                        out = self._conv(tp.convs[0], out)
-                    out = T.relu(self._bn(f"transition{bi}.bn", out, training))
-                out = T.avg_pool2d(out, tp.pool)
-            else:
-                out = closed
-
-        if self.plan.classifier.norms:
-            out = T.relu(self._bn("classifier.bn", out, training))
-        pooled = T.global_avg_pool(out)
-        return T.linear(pooled, self.params["classifier.fc.weight"],
-                        self.params["classifier.fc.bias"])
+            out = self._gather(cache, remaining, exit_unit)  # drops the block input
+            out = self._unit(exit_unit, out, training)
+        return out
 
     def predict(self, x) -> np.ndarray:
         """Argmax class indices in eval mode, no graph construction."""
         with T.no_grad():
             logits = self.forward(x, training=False)
         return logits.data.argmax(axis=1)
-
-
-def _iter_plan_items(plan: NetworkPlan):
-    """Yield ('conv'|'norm'|'linear', plan item) in deterministic forward order."""
-    for cp in plan.stem.convs:
-        yield "conv", cp
-    for np_ in plan.stem.norms:
-        yield "norm", np_
-    for bp in plan.blocks:
-        for lp in bp.layers:
-            for cp in lp.convs:
-                yield "conv", cp
-            for np_ in lp.norms:
-                yield "norm", np_
-    for tp in plan.transitions:
-        for cp in tp.convs:
-            yield "conv", cp
-        for np_ in tp.norms:
-            yield "norm", np_
-    for np_ in plan.classifier.norms:
-        yield "norm", np_
-    yield "linear", plan.classifier.linear
 
 
 def compile_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
@@ -218,23 +173,28 @@ def compile_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Netwo
     dtype = np.dtype(dtype)
     params: dict[str, Tensor] = {}
     bn_states: dict[str, BatchNormState] = {}
-    for kind, item in _iter_plan_items(plan):
-        if kind == "conv":
-            params[item.name] = Tensor(
-                _he_conv(rng, item.out_channels, item.in_channels, item.kernel, dtype),
-                requires_grad=True)
-        elif kind == "norm":
-            params[f"{item.name}.gamma"] = Tensor(np.ones(item.channels, dtype=dtype),
-                                                  requires_grad=True)
-            params[f"{item.name}.beta"] = Tensor(np.zeros(item.channels, dtype=dtype),
-                                                 requires_grad=True)
-            bn_states[item.name] = BatchNormState.create(item.channels, dtype=dtype)
-        else:
-            params["classifier.fc.weight"] = Tensor(
-                _he_linear(rng, item.in_features, item.out_features, dtype),
-                requires_grad=True)
-            params["classifier.fc.bias"] = Tensor(np.zeros(item.out_features, dtype=dtype),
-                                                  requires_grad=True)
+    # Weights are drawn from the RNG in this order -- stem, every layer block
+    # by block, every transition, the classifier -- not in forward order:
+    # seeded initial weights, and so every seeded result and the seeded
+    # checkpoints already written, depend on it.
+    layers = [unit for block in plan.blocks for unit in block.layers]
+    for unit in (plan.stem, *layers, *plan.transitions, plan.classifier):
+        for op in unit.ops:
+            if isinstance(op, Conv):
+                params[op.name] = Tensor(
+                    _he_conv(rng, op.out_channels, op.in_channels, op.kernel, dtype),
+                    requires_grad=True)
+            elif isinstance(op, BnRelu):
+                params[f"{op.name}.gamma"] = Tensor(np.ones(op.channels, dtype=dtype),
+                                                    requires_grad=True)
+                params[f"{op.name}.beta"] = Tensor(np.zeros(op.channels, dtype=dtype),
+                                                   requires_grad=True)
+                bn_states[op.name] = BatchNormState.create(op.channels, dtype=dtype)
+            elif isinstance(op, Linear):
+                params[f"{op.name}.weight"] = Tensor(
+                    _he_linear(rng, op.in_features, op.out_features, dtype), requires_grad=True)
+                params[f"{op.name}.bias"] = Tensor(np.zeros(op.out_features, dtype=dtype),
+                                                   requires_grad=True)
     return Network(spec, plan, params, bn_states, seed, dtype)
 
 
@@ -276,6 +236,16 @@ def _load_tensor(directory, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
+def _check_fields(obj, fields: dict, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise CheckpointError(f"{where} is missing field {key!r}")
+        if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+            raise CheckpointError(f"{where} field {key!r} has the wrong type: {obj[key]!r}")
+
+
 def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[Network, dict]:
     """Rebuild a network bit-exactly from ``save_checkpoint`` output."""
     path = os.path.join(directory, "manifest.json")
@@ -286,8 +256,15 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
         raise CheckpointError(f"no checkpoint manifest at {path}") from None
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unreadable checkpoint manifest at {path}: {exc}") from None
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unknown checkpoint format {manifest.get('format')!r}")
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
+        found = manifest.get("format") if isinstance(manifest, dict) else manifest
+        raise CheckpointError(f"unknown checkpoint format {found!r}")
+    _check_fields(manifest, _MANIFEST_FIELDS, "checkpoint manifest")
+    if manifest["seed"] < 0:
+        raise CheckpointError(f"checkpoint seed must be non-negative, got {manifest['seed']}")
+    if manifest["dtype"] not in _FLOAT_DTYPES:
+        raise CheckpointError(f"checkpoint dtype must be one of {_FLOAT_DTYPES}, "
+                              f"got {manifest['dtype']!r}")
 
     spec = spec_from_json_obj(manifest["spec"])
     if spec_hash(spec) != manifest["spec_hash"]:
@@ -295,7 +272,7 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
     if expect_spec is not None and spec_hash(expect_spec) != manifest["spec_hash"]:
         raise CheckpointError("checkpoint was produced for a different network spec")
 
-    net = compile_network(spec, seed=int(manifest["seed"]), dtype=np.dtype(manifest["dtype"]))
+    net = compile_network(spec, seed=manifest["seed"], dtype=np.dtype(manifest["dtype"]))
     if sorted(net.params) != manifest["params"]:
         raise CheckpointError("checkpoint parameter list does not match the compiled network")
     for name, p in net.params.items():
@@ -304,11 +281,12 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
         meta = manifest["bn_states"].get(name)
         if meta is None:
             raise CheckpointError(f"checkpoint is missing batch-norm state {name}")
+        _check_fields(meta, _BN_META_FIELDS, f"checkpoint batch-norm state {name}")
         st.running_mean = _load_tensor(directory, f"{name}.running_mean",
                                        st.running_mean.shape).astype(net.dtype)
         st.running_var = _load_tensor(directory, f"{name}.running_var",
                                       st.running_var.shape).astype(net.dtype)
-        st.steps = int(meta["steps"])
+        st.steps = meta["steps"]
         st.eps = float(meta["eps"])
         st.momentum = float(meta["momentum"])
     return net, manifest

@@ -37,7 +37,6 @@ __all__ = [
     "format_topology",
     "predecessors",
     "build_graph",
-    "count_edges",
     "shortest_gradient_path",
     "gradient_path_lengths",
     "export_dot",
@@ -240,12 +239,8 @@ def _fractal_graph(columns: int) -> AggregationGraph:
     return AggregationGraph(next_id, preds)
 
 
-def count_edges(graph: AggregationGraph) -> int:
-    return graph.num_edges
-
-
-def gradient_path_lengths(graph: AggregationGraph, src: int) -> np.ndarray:
-    """BFS hop counts from ``src`` to every node (-1 where unreachable)."""
+def _hops(graph: AggregationGraph, src: int, dst: int = -1) -> np.ndarray:
+    """BFS hop counts from ``src`` (-1 where unreached); stops once ``dst`` is reached."""
     if not 0 <= src < graph.num_layers:
         raise TopologyError(f"node {src} outside 0..{graph.num_layers - 1}")
     dist = np.full(graph.num_layers, -1, dtype=np.int64)
@@ -256,8 +251,15 @@ def gradient_path_lengths(graph: AggregationGraph, src: int) -> np.ndarray:
         for nxt in graph.successors_of(node).tolist():
             if dist[nxt] < 0:
                 dist[nxt] = dist[node] + 1
+                if nxt == dst:
+                    return dist
                 queue.append(nxt)
     return dist
+
+
+def gradient_path_lengths(graph: AggregationGraph, src: int) -> np.ndarray:
+    """BFS hop counts from ``src`` to every node (-1 where unreachable)."""
+    return _hops(graph, src)
 
 
 def shortest_gradient_path(graph: AggregationGraph, src: int, dst: int) -> int:
@@ -268,18 +270,10 @@ def shortest_gradient_path(graph: AggregationGraph, src: int, dst: int) -> int:
         raise NoPathError(f"no forward path from {src} to {dst}")
     if dst == src:
         return 0
-    dist = np.full(graph.num_layers, -1, dtype=np.int64)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        for nxt in graph.successors_of(node).tolist():
-            if dist[nxt] < 0:
-                if nxt == dst:
-                    return int(dist[node] + 1)
-                dist[nxt] = dist[node] + 1
-                queue.append(nxt)
-    raise NoPathError(f"no forward path from {src} to {dst}")
+    hops = int(_hops(graph, src, dst)[dst])
+    if hops < 0:
+        raise NoPathError(f"no forward path from {src} to {dst}")
+    return hops
 
 
 def export_dot(graph: AggregationGraph, labels: dict[int, str] | None = None) -> str:

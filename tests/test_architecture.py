@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from sparseagg.architecture import (
     spec_hash,
 )
 from sparseagg.errors import PlanError, SpecFormatError
-from sparseagg.topology import Dense, Fractal, Plain, Sparse
+from sparseagg.topology import Dense, Fractal, Plain, Sparse, predecessors
+
+CONFIGS = sorted(os.listdir(os.path.dirname(config_path("x"))))
 
 
 def cifar_spec(topology, family="concat", n=12, k=12, width=16, stem=16,
@@ -57,6 +60,30 @@ def test_sum_family_constant_width():
     for block, width in zip(plan.blocks, widths):
         assert all(lp.in_channels == width for lp in block.layers)
         assert all(lp.out_channels == width for lp in block.layers)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_unit_slices_tile_the_aggregated_input(name):
+    spec = load_spec(config_path(name))
+    plan = plan_network(spec)
+    assert plan.stem.in_channels == spec.input.channels
+    feeding = plan.stem
+    for block, exit_unit in zip(plan.blocks, plan.exits):
+        widths = [feeding.out_channels] + [unit.out_channels for unit in block.layers]
+        for li, unit in enumerate((*block.layers, exit_unit), start=1):
+            assert unit.predecessors == tuple(predecessors(spec.topology, li))
+            lo = 0
+            for p, start, end in unit.slices:
+                assert end - start == widths[p]
+                if spec.family == "concat":
+                    assert start == lo
+                    lo = end
+                else:
+                    assert (start, end) == (0, unit.in_channels)
+            if spec.family == "concat":
+                assert lo == unit.in_channels
+            assert unit.ops[0].channels == unit.in_channels  # every unit opens with BN-ReLU
+        feeding = exit_unit
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +248,58 @@ def test_sum_width_change_needs_projection():
                                allow_projection=False)
     with pytest.raises(PlanError):
         plan_network(spec)
+
+
+def test_transition_pool_must_divide_its_input():
+    spec = load_spec(config_path("sparse40_k12_cifar.json"))
+    for size in (34, 2):  # block 2 would be 17x17; a 2x2 input would reach 0x0
+        odd = dataclasses.replace(spec, input=InputSpec(size, size, 3))
+        with pytest.raises(PlanError, match="transition"):
+            analyze(odd)
+
+
+# A spec's hash keys the checkpoints written for it, so these must not move.
+SPEC_HASHES = {
+    "dense100_k12_cifar.json": "eb302134a32d5324068cb87bb2d912ca41318ce1d1c5ffd0330347c3b09063a9",
+    "dense121_imagenet.json": "09cca28fea9972a91034ac3aaa962ecb11dfbe677d7837f3a1a310ad6aa0de35",
+    "dense40_k12_cifar.json": "32ba013e7f46a52156fffdb41703aa7ab51e36fe2d114bd94d492d05a56e5fc1",
+    "sparse121_imagenet.json": "cfe3997df13c09c89c4154890c6a0bed0ab68b530d60ba553a9c8a7438e6f9d0",
+    "sparse40_k12_cifar.json": "8233cdd37d0484708a5d05027db486b68f7e0c13ddade9f5c6991043c41ee937",
+    "sparse_bc_k32-64-128_d100_cifar.json":
+        "e2e01cafa8574983025075b5896b3b0f878b5ab0bc10afa630d02ab943766613",
+    "sparse_bc_tiny_cifar.json": "9fccefd6a2345b68dc39baa7ed3b9eb4b882fc9384c6bd97a03aee631f3d251c",
+    "sum_plain_d12_cifar.json": "46091f20cf8ff132786228e0470211c332e2cdd744231373aebc8aeeaf7820e3",
+}
+
+
+def test_every_config_hash_is_pinned():
+    assert sorted(SPEC_HASHES) == CONFIGS
+    for name, digest in SPEC_HASHES.items():
+        assert spec_hash(load_spec(config_path(name))) == digest, name
+
+
+@pytest.mark.parametrize("unit_order,ok", [(None, True), ("preact", True), ("postact", False)])
+def test_only_preact_units_load(tmp_path, unit_order, ok):
+    obj = json.loads(load_spec(config_path("sparse_bc_tiny_cifar.json")).to_json())
+    assert obj["unit_order"] == "preact"
+    if unit_order is None:
+        del obj["unit_order"]
+    else:
+        obj["unit_order"] = unit_order
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    if ok:
+        assert spec_hash(load_spec(path)) == SPEC_HASHES["sparse_bc_tiny_cifar.json"]
+    else:
+        with pytest.raises(SpecFormatError, match="unit_order"):
+            load_spec(path)
+
+
+@pytest.mark.parametrize("key", ["bottleneck", "allow_projection"])
+def test_boolean_fields_reject_other_types(tmp_path, key):
+    obj = json.loads(load_spec(config_path("sum_plain_d12_cifar.json")).to_json())
+    obj[key] = "no"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SpecFormatError, match=key):
+        load_spec(path)

@@ -137,6 +137,45 @@ def test_checkpoint_tensor_of_wrong_size_exits_1(tmp_path, resize):
     assert record["status"] == "error" and "stem.conv.bin" in record["error"]
 
 
+def _break_manifest(manifest, damage):
+    if damage == "list":
+        return [manifest]
+    if damage.startswith("missing-"):
+        del manifest[damage[len("missing-"):]]
+    else:
+        key, value = damage.split("=")
+        manifest[key] = value
+    return manifest
+
+
+@pytest.mark.parametrize("command", ["heatmap", "eval"])
+@pytest.mark.parametrize("damage", [
+    "list", "seed=abc", "dtype=bogus",
+    *(f"missing-{key}" for key in ("spec", "spec_hash", "seed", "dtype", "params", "bn_states")),
+])
+def test_malformed_checkpoint_manifest_exits_1(tmp_path, cifar_dir, command, damage):
+    spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    ckpt = tmp_path / "checkpoint"
+    save_checkpoint(compile_network(spec, seed=0), ckpt)
+    path = ckpt / "manifest.json"
+    path.write_text(json.dumps(_break_manifest(json.loads(path.read_text()), damage)))
+    extra = ["--data", cifar_dir, "--subset", "10"] if command == "eval" else []
+    code = main([command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"), *extra])
+    assert code == 1
+    record = run_json(tmp_path / "out")
+    assert record["status"] == "error" and "checkpoint" in record["error"]
+
+
+def test_analyze_of_unpoolable_input_exits_1(tmp_path):
+    obj = json.loads(load_spec(config_path("sparse40_k12_cifar.json")).to_json())
+    obj["input"].update(height=34, width=34)  # block 2 would be 17x17, pooled by 2
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path)]) == 1
+    record = run_json(tmp_path)
+    assert record["status"] == "error" and "transition2" in record["error"]
+
+
 def test_unknown_flag_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["graph", "--topology", "dense", "--layers", "4",

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ CONFIGS_WITH_TOTALS = [
     ("dense40_k12_cifar.json", 1_019_722),
     ("sparse40_k12_cifar.json", 185_778),
     ("sum_plain_d12_cifar.json", 198_298),
+    ("dense100_k12_cifar.json", 6_979_642),
+    ("dense121_imagenet.json", 7_978_856),
+    ("sparse121_imagenet.json", 3_250_824),
+    ("sparse_bc_k32-64-128_d100_cifar.json", 17_282_090),
 ]
 
 
@@ -28,6 +34,32 @@ def test_compiled_params_match_static_analysis(name, total):
     net = compile_network(spec, seed=0)
     assert net.num_params() == total
     assert net.num_params() == analyze(spec).total_params
+
+
+def test_every_config_has_a_pinned_total():
+    names = sorted(os.listdir(os.path.dirname(config_path("x"))))
+    assert sorted(name for name, _ in CONFIGS_WITH_TOTALS) == names
+
+
+# SHA-256 over (name, float32 bytes) of the seed-0 parameters, sorted by name.
+# PCG64 normal draws and a float32 cast are the same on every platform, so
+# these pin the order in which compile_network draws its weights.
+INIT_DIGESTS = {
+    "sparse_bc_tiny_cifar.json": "fc897693b24d59f6baac9cc38158916a2bb8474a4e32f30e9c40c324ab5e45d1",
+    "sum_plain_d12_cifar.json": "5164d9356119668e9ae8bd061a23ab2cf69014b929d3ad2e09cbae1ef8c71a14",
+    "sparse40_k12_cifar.json": "092baf9afde1769f2e915c0f2013c7c33e0366e8ad901f0cab1ccb7083f745c5",
+    "sparse121_imagenet.json": "9cfa5a247197c493e82c689c90fe0fd86672275ae444cd5855a0fdbae37b812b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INIT_DIGESTS))
+def test_seeded_initial_parameters_are_pinned(name):
+    net = compile_network(load_spec(config_path(name)), seed=0)
+    digest = hashlib.sha256()
+    for pname in sorted(net.params):
+        digest.update(pname.encode())
+        digest.update(net.params[pname].data.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[name]
 
 
 def test_logits_shape():

@@ -14,7 +14,6 @@ from sparseagg.topology import (
     Plain,
     Sparse,
     build_graph,
-    count_edges,
     export_dot,
     export_json,
     format_topology,
@@ -116,13 +115,13 @@ def test_sparse2_l5_edges():
 
 
 def test_dense_l4_edge_count():
-    assert count_edges(build_graph(Dense(), 4)) == 6
+    assert build_graph(Dense(), 4).num_edges == 6
 
 
 def test_edge_counts_l8():
-    assert count_edges(build_graph(Sparse(2), 8)) == 17
-    assert count_edges(build_graph(Dense(), 8)) == 28
-    assert count_edges(build_graph(Plain(), 8)) == 7
+    assert build_graph(Sparse(2), 8).num_edges == 17
+    assert build_graph(Dense(), 8).num_edges == 28
+    assert build_graph(Plain(), 8).num_edges == 7
 
 
 def test_fractal_size_is_locked_to_columns():
@@ -191,16 +190,16 @@ def test_fractal_nodes_reach_a_terminal():
 def test_edge_count_scaling_envelopes():
     for exp in (6, 7, 8, 9, 10):
         layers = 2 ** exp
-        sparse_ratio = count_edges(build_graph(Sparse(2), layers)) / (layers * exp)
+        sparse_ratio = build_graph(Sparse(2), layers).num_edges / (layers * exp)
         assert 0.5 <= sparse_ratio <= 1.5
-        dense_ratio = count_edges(build_graph(Dense(), layers)) / layers ** 2
+        dense_ratio = build_graph(Dense(), layers).num_edges / layers ** 2
         assert abs(dense_ratio - 0.5) < 0.01
 
 
 def test_fractal_edges_at_most_4l():
     for cols in range(1, 11):
         layers = 2 ** cols
-        assert count_edges(build_graph(Fractal(cols), layers)) <= 4 * layers
+        assert build_graph(Fractal(cols), layers).num_edges <= 4 * layers
 
 
 # ---------------------------------------------------------------------------
