@@ -28,6 +28,7 @@ from .errors import (
     SparseAggError,
     SpecFormatError,
     TopologyError,
+    TrainConfigError,
     TrainingDivergedError,
     ValidationError,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "Tensor",
     "TopologyError",
     "TrainConfig",
+    "TrainConfigError",
     "TrainingDivergedError",
     "ValidationError",
     "analyze",

@@ -1,16 +1,17 @@
 """Hot inner loops: the conv operand gather and fold, and max-pool routing.
 
-Everything here is vectorized numpy.  ``tensor.conv2d`` runs one GEMM per
-kernel tap over shifted views of a zero-padded, channel-major copy of its
-input (Anderson et al., *Low-memory GEMM-based convolution algorithms*,
-arXiv 1709.03395), so no patch matrix is built at any kernel size or
-stride; its backward stacks the taps' shifted gradient views one column
-chunk at a time and runs two GEMMs per chunk over the same operand.
-``im2col`` gathers that operand and ``col2im`` folds its gradient
-back onto the input; they keep the names of the patch gather and scatter
-they replaced, and ``tensor`` looks them up at call time, so a profiler
-can wrap them.  Max pooling is a running max over the kernel**2 strided
-views of its padded input.  Matrix multiplies go to numpy/BLAS.
+Everything here is vectorized numpy.  ``tensor.conv2d`` reads shifted views
+of a zero-padded, channel-major copy of its input (Anderson et al.,
+*Low-memory GEMM-based convolution algorithms*, arXiv 1709.03395), so no
+patch matrix is built at any kernel size or stride.  Both directions stack
+the kernel taps and walk the operand one column chunk at a time: forward
+runs one GEMM per chunk with all tap weights stacked and adds each tap's
+shifted rows, backward stacks the taps' shifted gradient views and runs two
+GEMMs per chunk.  ``im2col`` gathers that operand and ``col2im`` folds its
+gradient back onto the input; they keep the names of the patch gather and
+scatter they replaced, and ``tensor`` looks them up at call time, so a
+profiler can wrap them.  Max pooling is a running max over the kernel**2
+strided views of its padded input.  Matrix multiplies go to numpy/BLAS.
 """
 
 import numpy as np

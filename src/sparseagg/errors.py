@@ -38,6 +38,10 @@ class CheckpointError(ValidationError):
     """Checkpoint directory is malformed or does not match the network."""
 
 
+class TrainConfigError(ValidationError):
+    """Training or evaluation setting out of range (epochs, batch size)."""
+
+
 class NonFiniteError(SparseAggError):
     """A non-finite value appeared during computation."""
 

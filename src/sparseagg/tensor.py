@@ -8,14 +8,18 @@ checker.  No op mutates its inputs; ``backward`` accumulates into the
 Retention rule: a backward closure keeps the op's inputs, its own output
 (relu) and per-channel statistics, never a derived full-size buffer.  Conv
 keeps ``x`` and ``w`` and rebuilds its padded channel-major GEMM operand
-(1.1-1.6x its input; there is no patch matrix) in backward; its stacked
-tap gradients are built one column chunk at a time (a few hundred KB for
-a 3x3 conv) and freed when backward returns.  Batch norm rebuilds
-``xhat`` from its input, mean and inverse std.  The graph
-already holds every op's input and output, so what a training step keeps
-alive between forward and backward is the activations themselves.  The
-only derived arrays kept are output-sized ones: max-pool argmax indices
-and softmax probabilities.
+(1.1-1.6x its input; there is no patch matrix) in backward.  Both
+directions stack the kernel taps one column chunk at a time and free the
+stack before returning: forward's stacked GEMM output is no larger than
+the operand or one backward stack (a narrow-input stem takes narrower
+chunks), backward's stacked tap gradients are a few hundred KB for a 3x3
+conv.  Average
+pooling adds and fills strided views and keeps only its input.  Batch norm
+rebuilds ``xhat`` from its input, mean and inverse std.  The graph already
+holds every op's input and output, so what a training step keeps alive
+between forward and backward is the activations themselves.  The only
+derived arrays kept are output-sized ones: max-pool argmax indices and
+softmax probabilities.
 
 Set ``SPARSEAGG_DEBUG=1`` (or call ``set_debug(True)``) to assert every op
 output is finite and to warn when batch norm is evaluated before any
@@ -179,20 +183,27 @@ def _check_float(t: Tensor, name: str, op: str) -> None:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution (cross-correlation), no bias, exact output sizing.
+    """2D convolution (cross-correlation), no bias.
 
-    One GEMM per kernel tap: tap (ky, kx) multiplies ``w[:, :, ky, kx]``
-    with the flat padded operand ``K.im2col(x)`` read at offset
-    ``ky * Wp + kx``, a zero-copy view.  The taps accumulate over the dense
-    (O, N, Hp, Wp) grid of window origins; the output is its
-    ``[::stride, ::stride]`` corner of size oh x ow.  A 1x1 conv is the
-    one-tap case; a strided conv pays stride**2 more FLOPs for one path.
+    The output size is floored, ``oh = (H + 2 * padding - kh) // stride + 1``,
+    as the planner sizes it.  Window origin q of the flat padded operand
+    ``K.im2col(x)`` (C, N*Hp*Wp) gets ``sum_t W_t @ operand[:, q + offset_t]``
+    over the kernel taps t = (ky, kx), ``offset_t = ky * Wp + kx``, on the
+    dense (O, N, Hp, Wp) grid of origins; the output is the grid's
+    ``[::stride, ::stride]`` corner.  A strided conv pays stride**2 more
+    FLOPs for one path.
 
-    Backward stacks the taps instead: per chunk of operand columns q it
-    copies the kh*kw shifted views ``g_grid[:, q - offset]`` into one
-    (kh*kw*O, chunk) matrix G and runs two GEMMs, ``dW += G @ operand.T``
-    and ``d_operand = W_cat.T @ G`` with ``W_cat`` the (kh*kw*O, C) tap
-    weights, so each operand-gradient column is written once.
+    Forward stacks the taps: per chunk [a, b) of grid columns it runs one
+    GEMM ``W_cat @ operand[:, a:b + lead]``, with ``W_cat`` the (kh*kw*O, C)
+    tap weights and ``lead`` the largest offset, and adds each tap's rows,
+    shifted by its offset, onto ``grid[:, a:b]``.  A 1x1 conv is one GEMM
+    straight into the grid.
+
+    Backward mirrors it: per chunk of operand columns q it copies the kh*kw
+    shifted views ``g_grid[:, q - offset]`` into one (kh*kw*O, chunk)
+    matrix G and runs two GEMMs, ``dW += G @ operand.T`` and
+    ``d_operand = W_cat.T @ G``, so each operand-gradient column is written
+    once.
     """
     _check_float(x, "x", "conv2d")
     _check_float(w, "w", "conv2d")
@@ -207,11 +218,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     hp, wp = h + 2 * padding, wdt + 2 * padding
     if kh > hp or kw > wp:
         raise ValueError(f"conv2d kernel {kh}x{kw} is larger than the padded input {hp}x{wp}")
-    if (hp - kh) % stride or (wp - kw) % stride:
-        raise ValueError(
-            f"conv2d output size is not integral: input {h}x{wdt}, kernel {kh}x{kw}, "
-            f"stride {stride}, padding {padding}"
-        )
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
     xd = x.data
@@ -222,17 +228,31 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     offsets = [ky * wp + kx for ky in range(kh) for kx in range(kw)]
     corner = (slice(None), slice(None), slice(0, stride * oh, stride), slice(0, stride * ow, stride))
 
-    # Tap 0 (offset 0) writes the grid; the others add through one reused buffer.
     # Grid columns from `span` on are never written and never read.
-    taps = _tap_weights(w.data)
     operand = K.im2col(xd, padding).reshape(c, -1)
     grid = np.empty((o, n * hp * wp), dtype=dtype)
-    acc, tmp = grid[:, :span], None
-    np.matmul(taps[0], operand[:, :span], out=acc)
-    for t, d in enumerate(offsets[1:], 1):
-        tmp = np.matmul(taps[t], operand[:, d:d + span], out=tmp)
-        acc += tmp
-    del operand, tmp
+    if len(offsets) == 1:
+        np.matmul(w.data.reshape(o, c), operand, out=grid)
+    else:
+        lead = offsets[-1]
+        w_cat = _tap_weights(w.data)
+        rows = w_cat.shape[0]
+        # The (kh*kw*O, chunk + lead) stack outgrows neither the operand nor a
+        # backward chunk's stack: a narrow-input conv (a stem) takes narrower
+        # chunks, down to _BACKWARD_CHUNK columns.
+        chunk = min(span, _FORWARD_CHUNK, max(_BACKWARD_CHUNK, operand.size // rows - lead))
+        buf = np.empty(rows * (chunk + lead), dtype=dtype)
+        for a in range(0, span, chunk):
+            m = min(chunk, span - a)
+            stack = buf[:rows * (m + lead)].reshape(rows, m + lead)
+            np.matmul(w_cat, operand[:, a:a + m + lead], out=stack)
+            stack = stack.reshape(len(offsets), o, m + lead)
+            acc = grid[:, a:a + m]
+            np.copyto(acc, stack[0, :, :m])
+            for t, d in enumerate(offsets[1:], 1):
+                acc += stack[t, :, d:d + m]
+        del buf, stack
+    del operand
     out = grid.reshape(o, n, hp, wp)[corner].transpose(1, 0, 2, 3)
 
     def backward(g):
@@ -244,7 +264,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         g_pad = (np.empty if covered else np.zeros)((o, lead + width), dtype=dtype)
         g_pad[:, lead:].reshape(o, n, hp, wp)[corner] = g.transpose(1, 0, 2, 3)
         operand = K.im2col(xd, padding).reshape(c, -1) if w.requires_grad else None
-        w_cat = _tap_weights(w.data).reshape(-1, c)
+        w_cat = _tap_weights(w.data)
         dw = np.zeros_like(w_cat) if w.requires_grad else None
         dop = np.empty((c, width), dtype=dtype) if x.requires_grad else None
         buf = np.empty(len(offsets) * o * min(_BACKWARD_CHUNK, width), dtype=dtype)
@@ -272,12 +292,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 # Operand columns per stacked backward chunk: the (kh*kw*O, chunk) gradient
 # stack stays a few hundred KB for 3x3 convs while the GEMMs stay large.
 _BACKWARD_CHUNK = 1024
+# Grid columns per stacked forward chunk: single 3x3 convs ran 1.4-1.7x
+# slower at 2048 columns than at 4096 on a 2-CPU OpenBLAS host.  Cut for
+# narrow inputs (see conv2d).
+_FORWARD_CHUNK = 4096
 
 
 def _tap_weights(w: np.ndarray) -> np.ndarray:
-    """OIHW kernel -> (KH*KW, O, C): one contiguous (O, C) GEMM operand per tap."""
+    """OIHW kernel -> W_cat (KH*KW*O, C): the taps' (O, C) matrices stacked, (ky, kx) order."""
     o, c, kh, kw = w.shape
-    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw * o, c)
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +404,38 @@ def relu(x: Tensor) -> Tensor:
 
 
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling (stride == kernel)."""
+    """Non-overlapping average pooling (stride == kernel).
+
+    Adds the kernel**2 strided views ``x[:, :, ky::kernel, kx::kernel]``
+    row by row onto zeros, then divides by kernel**2: the summation order
+    and divisor of ``mean`` over the window axes, so the bits match it.
+    Backward writes ``g / kernel**2`` into the same views of one buffer.
+    """
     _check_float(x, "x", "avg_pool2d")
     n, c, h, w = x.data.shape
     if h % kernel or w % kernel:
         raise ValueError(f"avg_pool2d needs sizes divisible by {kernel}, got {h}x{w}")
-    oh, ow = h // kernel, w // kernel
-    out = x.data.reshape(n, c, oh, kernel, ow, kernel).mean(axis=(3, 5))
+    xd = x.data
+    out = np.zeros((n, c, h // kernel, w // kernel), dtype=xd.dtype)
+    row = np.empty_like(out)
+    for ky in range(kernel):
+        np.copyto(row, xd[:, :, ky::kernel, ::kernel])
+        for kx in range(1, kernel):
+            row += xd[:, :, ky::kernel, kx::kernel]
+        out += row
+    del row
+    out /= kernel * kernel
 
     def backward(g):
         if x.requires_grad:
-            ge = np.broadcast_to(
-                g.reshape(n, c, oh, 1, ow, 1), (n, c, oh, kernel, ow, kernel)
-            ) / (kernel * kernel)
-            x.accumulate_grad(ge.reshape(n, c, h, w).astype(x.data.dtype, copy=False))
+            share = g / (kernel * kernel)
+            dx = np.empty_like(xd)
+            for ky in range(kernel):
+                for kx in range(kernel):
+                    dx[:, :, ky::kernel, kx::kernel] = share
+            x.accumulate_grad(dx)
 
-    return _result(out.astype(x.data.dtype, copy=False), (x,), backward, "avg_pool2d")
+    return _result(out, (x,), backward, "avg_pool2d")
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:

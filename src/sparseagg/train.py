@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DataFormatError, TrainingDivergedError
+from .errors import DataFormatError, TrainConfigError, TrainingDivergedError
 from .model import Network
 from .tensor import Tensor
 
@@ -200,6 +200,11 @@ class SGD:
             p.data -= self.lr * update
 
 
+def _require_positive(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise TrainConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _forward_loss(net: Network, x: np.ndarray, y: np.ndarray, training: bool):
     logits = net.forward(Tensor(x), training=training)
     loss = T.softmax_cross_entropy(logits, y)
@@ -209,6 +214,7 @@ def _forward_loss(net: Network, x: np.ndarray, y: np.ndarray, training: bool):
 def evaluate(net: Network, images: np.ndarray, labels: np.ndarray,
              mean: np.ndarray, std: np.ndarray, batch_size: int = 200) -> tuple[float, float]:
     """Eval-mode loss and top-1 error rate over a uint8 image array."""
+    _require_positive("batch size", batch_size)
     total_loss = 0.0
     wrong = 0
     n = images.shape[0]
@@ -229,8 +235,11 @@ def train_model(net: Network, data: Cifar10, cfg: TrainConfig,
     Raises TrainingDivergedError (with the offending epoch and step) as
     soon as the loss or a parameter gradient stops being finite; a
     non-finite gradient is caught before the optimizer writes it into the
-    weights, and the error names the parameter.
+    weights, and the error names the parameter.  Epochs and batch size
+    below 1 raise TrainConfigError.
     """
+    _require_positive("epochs", cfg.epochs)
+    _require_positive("batch size", cfg.batch_size)
     rng = np.random.default_rng(cfg.seed)
     opt = SGD(net.params, lr=cfg.base_lr, momentum=cfg.momentum,
               weight_decay=cfg.weight_decay, nesterov=cfg.nesterov, decay_bn=cfg.decay_bn)

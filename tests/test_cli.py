@@ -221,6 +221,38 @@ def test_bad_subset_size_exits_1(tmp_path, cifar_dir, flag, size):
     assert "positive multiple of 10" in record["error"]
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("--batch-size", "0", "batch size"), ("--batch-size", "-4", "batch size"),
+    ("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
+])
+def test_train_rejects_non_positive_setting(tmp_path, cifar_dir, flag, value, name):
+    # Before the check: batch size 0 exited 2 (ValueError from range), epochs 0
+    # exited 2 (IndexError on an empty history), batch size -4 trained on nothing
+    # and exited 0.
+    code = main(["train", "--spec", config_path("sparse_bc_tiny_cifar.json"),
+                 "--data", cifar_dir, "--subset", "100", "--test-subset", "100",
+                 flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    record = run_json(tmp_path)
+    assert record["status"] == "error"
+    assert f"{name} must be a positive integer, got {value}" in record["error"]
+    assert not (tmp_path / "checkpoint").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_eval_rejects_non_positive_batch_size(tmp_path, cifar_dir, value):
+    ckpt = tmp_path / "checkpoint"
+    save_checkpoint(compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0),
+                    ckpt)
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", cifar_dir, "--subset", "10",
+                 "--batch-size", value, "--out", str(tmp_path / "out")])
+    assert code == 1
+    record = run_json(tmp_path / "out")
+    assert record["status"] == "error"
+    assert f"batch size must be a positive integer, got {value}" in record["error"]
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
 @pytest.mark.slow
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_2(tmp_path, cifar_dir):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import config_path
-from sparseagg.architecture import analyze, load_spec
+from sparseagg import tensor as tensor_module
+from sparseagg.architecture import Conv, analyze, load_spec
 from sparseagg.errors import CheckpointError
 from sparseagg.model import ForwardStats, compile_network, load_checkpoint, save_checkpoint
-from sparseagg.tensor import save_array, softmax_cross_entropy
+from sparseagg.tensor import conv2d, no_grad, save_array, softmax_cross_entropy
 from sparseagg.topology import Sparse
 
 CONFIGS_WITH_TOTALS = [
@@ -241,3 +242,28 @@ def test_sparse_predecessor_wiring_matches_plan():
     assert layer6.predecessors == (5, 4, 2)
     w = net.params["block1.layer6.conv1"]
     assert w.data.shape[1] == layer6.in_channels == 36
+
+
+
+def test_imagenet_config_runs_forward_at_its_own_input_size(monkeypatch):
+    # The 7x7/2 pad-3 stem maps 224 to (224 + 6 - 7) // 2 + 1 = 112 in the planner, and
+    # conv2d must floor the same way (it once required an integral quotient).
+    spec = load_spec(config_path("sparse121_imagenet.json"))
+    assert (spec.input.height, spec.input.width) == (224, 224)
+    net = compile_network(spec, seed=0)
+    planned = [op for unit in net.plan.units for op in unit.ops if isinstance(op, Conv)]
+    assert (planned[0].kernel, planned[0].out_h) == (7, 112)
+    shapes = []
+
+    def conv_spy(x, w, stride, padding):
+        out = conv2d(x, w, stride, padding)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(tensor_module, "conv2d", conv_spy)
+    x = np.random.default_rng(6).standard_normal((1, 3, 224, 224)).astype(np.float32)
+    with no_grad():
+        logits = net.forward(x)
+    assert shapes == [(1, op.out_channels, op.out_h, op.out_w) for op in planned]
+    assert logits.shape == (1, net.plan.classifier.out_channels) == (1, spec.num_classes)
+    assert np.isfinite(logits.data).all()

@@ -91,11 +91,23 @@ def test_conv_matches_direct_sum(stride, padding):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_conv_rejects_fractional_output():
-    x = Tensor(np.zeros((1, 1, 6, 6), dtype=np.float32))
-    w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
-    with pytest.raises(ValueError):
-        conv2d(x, w, stride=2, padding=1)
+@pytest.mark.parametrize("k,stride,padding,h,wd", [
+    (3, 2, 1, 6, 6),    # (6 + 2 - 3) / 2 = 2.5 -> 3x3
+    (7, 2, 3, 8, 8),    # the ImageNet stem's kernel at an even input: 4.5 -> 4x4
+    (7, 2, 3, 9, 10),   # non-square, one side floored
+    (3, 3, 0, 10, 11),
+    (1, 2, 0, 7, 6),
+])
+def test_conv_floors_fractional_output(k, stride, padding, h, wd):
+    # The planner floors (H + 2p - k) / stride + 1; the executor must size the same way.
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 3, h, wd))
+    w = rng.standard_normal((4, 3, k, k))
+    got = conv2d(t64(x), t64(w), stride=stride, padding=padding).data
+    ref = conv_ref(x, w, stride, padding)
+    assert got.shape == (2, 4, (h + 2 * padding - k) // stride + 1,
+                         (wd + 2 * padding - k) // stride + 1)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_conv_rejects_kernel_larger_than_padded_input():
@@ -163,6 +175,35 @@ def test_relu_propagates_nan():
 def test_avg_pool_pin():
     x = t64(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
     np.testing.assert_array_equal(avg_pool2d(x, 2).data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+
+
+def avg_pool_reference(x, k):
+    """The former avg_pool2d forward: a reshape and mean over the window axes."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5)).astype(x.dtype, copy=False)
+
+
+def avg_pool_backward_reference(g, k):
+    """The former avg_pool2d backward: broadcast, divide, reshape."""
+    n, c, oh, ow = g.shape
+    ge = np.broadcast_to(g.reshape(n, c, oh, 1, ow, 1), (n, c, oh, k, ow, k)) / (k * k)
+    return ge.reshape(n, c, oh * k, ow * k).astype(g.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_avg_pool_matches_former_mean_bit_for_bit(dtype, k, seed):
+    rng = np.random.default_rng(1300 + seed)
+    x = (rng.standard_normal((3, 5, 8, 12)) * rng.uniform(0.01, 100.0, (3, 5, 8, 12))).astype(dtype)
+    x[0, 0, :k, :k] = -0.0   # an all-negative-zero window: mean gives +0.0
+    x[1, 2, k, 0] = 0.0
+    xt = Tensor(x, requires_grad=True)
+    out = avg_pool2d(xt, k)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    out.backward(g)
+    assert same_bits(out.data, avg_pool_reference(x, k))
+    assert same_bits(xt.grad, avg_pool_backward_reference(g, k))
 
 
 def test_avg_pool_requires_divisibility():
@@ -495,6 +536,51 @@ def test_conv_forward_does_not_retain_patches():
     assert live < patch_bytes, (live, patch_bytes)
 
 
+def conv_per_tap_forward(x, w, stride, padding):
+    """The former conv2d forward: one GEMM per kernel tap over the whole grid of window
+    origins, added onto the grid tap by tap in (ky, kx) order."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    span = n * hp * wp - (kh - 1) * wp - (kw - 1)
+    offsets = [ky * wp + kx for ky in range(kh) for kx in range(kw)]
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    operand = np.ascontiguousarray(xp.transpose(1, 0, 2, 3)).reshape(c, -1)
+    grid = np.empty((o, n * hp * wp), dtype=x.dtype)
+    acc = grid[:, :span]
+    np.matmul(taps[0], operand[:, :span], out=acc)
+    for t, d in enumerate(offsets[1:], 1):
+        acc += taps[t] @ operand[:, d:d + span]
+    corner = grid.reshape(o, n, hp, wp)[:, :, :stride * oh:stride, :stride * ow:stride]
+    return np.ascontiguousarray(corner.transpose(1, 0, 2, 3))
+
+
+FORWARD_CASES = [(k, stride, padding) for k in (1, 3, 7) for stride in (1, 2)
+                 for padding in (0, 1, 3)]
+
+
+def conv_forward_against_per_tap(k, stride, padding, seed, dtype=np.float32):
+    rng = np.random.default_rng(1200 + seed)
+    h = 9 if stride == 2 else 8
+    x = rng.standard_normal((3, 5, h, h + 1)).astype(dtype)
+    w = rng.standard_normal((7, 5, k, k)).astype(dtype)
+    with no_grad():
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+    return out, conv_per_tap_forward(x, w, stride, padding)
+
+
+@pytest.mark.parametrize("k,stride,padding", FORWARD_CASES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_conv_forward_matches_per_tap_reference_bit_for_bit(k, stride, padding, dtype, seed):
+    # Each stacked-GEMM element is the same C-long dot product as in its tap's own
+    # GEMM, and the taps are added onto the grid in the same order.
+    out, ref = conv_forward_against_per_tap(k, stride, padding, seed, dtype)
+    assert same_bits(out, ref)
+
+
 # A chunk narrower than the largest tap offset (22 at 8x8 padded by 1) that divides
 # none of the N*Hp*Wp grid widths, so every chunk seam cuts through tap windows.
 SEAM_CHUNK = 7
@@ -510,10 +596,21 @@ def test_conv_backward_chunk_seams_within_ulps_of_saved_patch_reference(
         assert_within_8_ulps(got, ref)
 
 
+@pytest.mark.parametrize("k,stride,padding", FORWARD_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_conv_forward_chunk_seams_match_per_tap_reference(monkeypatch, k, stride, padding, seed):
+    # 7 columns is narrower than every multi-tap lead here (at least 20), so each
+    # chunk's GEMM reads past the next seams.
+    monkeypatch.setattr(tensor_module, "_FORWARD_CHUNK", SEAM_CHUNK)
+    out, ref = conv_forward_against_per_tap(k, stride, padding, seed)
+    assert same_bits(out, ref)
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_conv_at_chunk_seams(monkeypatch, stride, seed):
     monkeypatch.setattr(tensor_module, "_BACKWARD_CHUNK", SEAM_CHUNK)
+    monkeypatch.setattr(tensor_module, "_FORWARD_CHUNK", SEAM_CHUNK)
     rng = np.random.default_rng(700 + seed)
     h = 6 if stride == 1 else 7
     x = rand64(rng, (2, 3, h, h))
@@ -523,6 +620,30 @@ def test_fd_conv_at_chunk_seams(monkeypatch, stride, seed):
     report = check_gradients(
         lambda a, b: weighted_sum(conv2d(a, b, stride=stride, padding=1), proj), [x, w])
     assert report.passed, report.max_rel_error
+
+
+def test_conv_forward_peak_stays_below_per_tap_peak():
+    # The per-tap forward peaked with x, the padded operand, the grid and one
+    # (O, span) tap product live: 2.89 MB here.  A 4096-column stack of all 9*O
+    # tap products would be 1.80 MB, three times this 8-channel operand; cut to the
+    # operand's size, the peak is about 2.7 MB.
+    n, c, h, o = 16, 8, 32, 12
+    hp = h + 2
+    span = n * hp * hp - 2 * hp - 2
+    former = 4 * (n * c * h * h + c * n * hp * hp + o * n * hp * hp + o * span)
+    rng = np.random.default_rng(19)
+    xd = rng.standard_normal((n, c, h, h)).astype(np.float32)
+    w = Tensor(rng.standard_normal((o, c, 3, 3)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        x = Tensor(xd.copy())
+        with no_grad():
+            out = conv2d(x, w, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, o, h, h)
+    assert peak <= former, (peak, former)
 
 
 def test_conv_backward_stack_stays_chunk_sized():

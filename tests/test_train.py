@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sparseagg.architecture import BlockSpec, InputSpec, NetworkSpec, StemSpec
-from sparseagg.errors import DataFormatError, TrainingDivergedError
+from sparseagg.errors import DataFormatError, TrainConfigError, TrainingDivergedError
 from sparseagg.model import compile_network
 from sparseagg.tensor import Tensor
 from sparseagg.topology import Sparse
@@ -265,6 +265,29 @@ def test_evaluate_is_repeatable(small_data):
     second = evaluate(net, small_data.test_images, small_data.test_labels,
                       small_data.mean, small_data.std)
     assert first == second
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 0), ("epochs", -2), ("batch_size", 0), ("batch_size", -4),
+    ("batch_size", 2.5), ("epochs", True),
+])
+def test_train_model_rejects_bad_epochs_and_batch_size(small_data, field, value):
+    net = compile_network(tiny_spec(), seed=5)
+    snap = {k: p.data.copy() for k, p in net.params.items()}
+    cfg = TrainConfig(epochs=1, batch_size=50, seed=0, augment=False)
+    setattr(cfg, field, value)
+    with pytest.raises(TrainConfigError, match="must be a positive integer"):
+        train_model(net, small_data, cfg)
+    for name, p in net.params.items():
+        np.testing.assert_array_equal(p.data, snap[name])
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_non_positive_batch_size(small_data, batch_size):
+    net = compile_network(tiny_spec(), seed=5)
+    with pytest.raises(TrainConfigError, match="batch size"):
+        evaluate(net, small_data.test_images, small_data.test_labels,
+                 small_data.mean, small_data.std, batch_size=batch_size)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
