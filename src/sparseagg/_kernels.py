@@ -7,7 +7,8 @@ patch matrix is built at any kernel size or stride.  Both directions stack
 the kernel taps and walk the operand one column chunk at a time: forward
 runs one GEMM per chunk with all tap weights stacked and adds each tap's
 shifted rows, backward stacks the taps' shifted gradient views and runs two
-GEMMs per chunk.  ``im2col`` gathers that operand and ``col2im`` folds its
+GEMMs per chunk; one chunk width per conv, 1024 to 4096 columns, serves
+both.  ``im2col`` gathers that operand and ``col2im`` folds its
 gradient back onto the input; they keep the names of the patch gather and
 scatter they replaced, and ``tensor`` looks them up at call time, so a
 profiler can wrap them.  Max pooling is a running max over the kernel**2

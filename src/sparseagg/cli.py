@@ -209,12 +209,7 @@ def main(argv=None) -> int:
     code = 0
     try:
         _HANDLERS[args.command](args, record)
-    except ValidationError as exc:
-        record["status"] = "error"
-        record["error"] = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         record["status"] = "error"
         record["error"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +56,8 @@ class ForwardStats:
     """Activation liveness counters collected during one forward pass."""
 
     peak_cached: int = 0
-    per_block: list[int] = field(default_factory=list)
 
     def observe(self, block_peak: int) -> None:
-        self.per_block.append(block_peak)
         self.peak_cached = max(self.peak_cached, block_peak)
 
 

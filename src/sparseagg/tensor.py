@@ -10,10 +10,9 @@ Retention rule: a backward closure keeps the op's inputs, its own output
 keeps ``x`` and ``w`` and rebuilds its padded channel-major GEMM operand
 (1.1-1.6x its input; there is no patch matrix) in backward.  Both
 directions stack the kernel taps one column chunk at a time and free the
-stack before returning: forward's stacked GEMM output is no larger than
-the operand or one backward stack (a narrow-input stem takes narrower
-chunks), backward's stacked tap gradients are a few hundred KB for a 3x3
-conv.  Average
+stack before returning; one chunk width per conv serves both: as wide as
+keeps the (kh*kw*O, chunk) tap stack within the operand's size, clamped to
+1024-4096 columns.  Average
 pooling adds and fills strided views and keeps only its input.  Batch norm
 rebuilds ``xhat`` from its input, mean and inverse std.  The graph already
 holds every op's input and output, so what a training step keeps alive
@@ -66,10 +65,6 @@ _DEBUG = os.environ.get("SPARSEAGG_DEBUG", "").strip().lower() in ("1", "true", 
 def set_debug(enabled: bool) -> None:
     global _DEBUG
     _DEBUG = bool(enabled)
-
-
-def debug_enabled() -> bool:
-    return _DEBUG
 
 
 @contextmanager
@@ -204,6 +199,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     matrix G and runs two GEMMs, ``dW += G @ operand.T`` and
     ``d_operand = W_cat.T @ G``, so each operand-gradient column is written
     once.
+
+    Both directions use one chunk width per call, ``_chunk_columns``: a tap
+    stack no larger than the operand, 1024 to 4096 columns wide.
     """
     _check_float(x, "x", "conv2d")
     _check_float(w, "w", "conv2d")
@@ -230,18 +228,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     # Grid columns from `span` on are never written and never read.
     operand = K.im2col(xd, padding).reshape(c, -1)
+    rows = len(offsets) * o
+    chunk = _chunk_columns(operand.size, rows)
     grid = np.empty((o, n * hp * wp), dtype=dtype)
     if len(offsets) == 1:
         np.matmul(w.data.reshape(o, c), operand, out=grid)
     else:
         lead = offsets[-1]
         w_cat = _tap_weights(w.data)
-        rows = w_cat.shape[0]
-        # The (kh*kw*O, chunk + lead) stack outgrows neither the operand nor a
-        # backward chunk's stack: a narrow-input conv (a stem) takes narrower
-        # chunks, down to _BACKWARD_CHUNK columns.
-        chunk = min(span, _FORWARD_CHUNK, max(_BACKWARD_CHUNK, operand.size // rows - lead))
-        buf = np.empty(rows * (chunk + lead), dtype=dtype)
+        buf = np.empty(rows * (min(chunk, span) + lead), dtype=dtype)
         for a in range(0, span, chunk):
             m = min(chunk, span - a)
             stack = buf[:rows * (m + lead)].reshape(rows, m + lead)
@@ -267,11 +262,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         w_cat = _tap_weights(w.data)
         dw = np.zeros_like(w_cat) if w.requires_grad else None
         dop = np.empty((c, width), dtype=dtype) if x.requires_grad else None
-        buf = np.empty(len(offsets) * o * min(_BACKWARD_CHUNK, width), dtype=dtype)
+        buf = np.empty(rows * min(chunk, width), dtype=dtype)
         tmp = None
-        for a in range(0, width, _BACKWARD_CHUNK):
-            b = min(a + _BACKWARD_CHUNK, width)
-            stack = buf[:len(offsets) * o * (b - a)].reshape(len(offsets), o, b - a)
+        for a in range(0, width, chunk):
+            b = min(a + chunk, width)
+            stack = buf[:rows * (b - a)].reshape(len(offsets), o, b - a)
             for t, d in enumerate(offsets):
                 stack[t] = g_pad[:, lead - d + a:lead - d + b]
             stack = stack.reshape(-1, b - a)
@@ -289,13 +284,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return _result(np.ascontiguousarray(out), (x, w), backward, "conv2d")
 
 
-# Operand columns per stacked backward chunk: the (kh*kw*O, chunk) gradient
-# stack stays a few hundred KB for 3x3 convs while the GEMMs stay large.
-_BACKWARD_CHUNK = 1024
-# Grid columns per stacked forward chunk: single 3x3 convs ran 1.4-1.7x
-# slower at 2048 columns than at 4096 on a 2-CPU OpenBLAS host.  Cut for
-# narrow inputs (see conv2d).
-_FORWARD_CHUNK = 4096
+# Widest column chunk of the stacked-tap conv, in both directions: single 3x3
+# convs ran 1.4-1.7x slower forward at 2048 columns than at 4096, and a wide
+# block-1 backward 1.5x slower at 1024, on a 2-CPU OpenBLAS host.
+_CHUNK = 4096
+
+
+def _chunk_columns(operand_size: int, rows: int) -> int:
+    """Columns per chunk for a (rows, chunk) tap stack over an operand of ``operand_size``."""
+    return min(_CHUNK, max(_CHUNK // 4, operand_size // rows))
 
 
 def _tap_weights(w: np.ndarray) -> np.ndarray:

@@ -1,10 +1,15 @@
+import os
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from conftest import config_path
 from sparseagg import tensor as tensor_module
-from sparseagg.errors import CheckpointError
+from sparseagg.architecture import Conv, Pool, load_spec, plan_network
+from sparseagg.errors import CheckpointError, NonFiniteError
 from sparseagg.gradcheck import check_gradients
 from sparseagg.tensor import (
     BatchNormState,
@@ -20,6 +25,7 @@ from sparseagg.tensor import (
     no_grad,
     relu,
     save_array,
+    set_debug,
     softmax_cross_entropy,
     weighted_sum,
 )
@@ -581,16 +587,30 @@ def test_conv_forward_matches_per_tap_reference_bit_for_bit(k, stride, padding, 
     assert same_bits(out, ref)
 
 
-# A chunk narrower than the largest tap offset (22 at 8x8 padded by 1) that divides
+# A chunk narrower than the largest tap offset (at least 18 below) that divides
 # none of the N*Hp*Wp grid widths, so every chunk seam cuts through tap windows.
 SEAM_CHUNK = 7
+
+
+def seam_chunk(monkeypatch, x_shape, w_shape, padding):
+    """Patch the chunk rule to SEAM_CHUNK; return the (chunk, lead, width) a conv of these
+    shapes then walks its N*Hp*Wp grid with, lead being the largest tap offset."""
+    monkeypatch.setattr(tensor_module, "_CHUNK", SEAM_CHUNK)
+    n, c, h, wd = x_shape
+    o, _, kh, kw = w_shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    chunk = tensor_module._chunk_columns(c * n * hp * wp, kh * kw * o)
+    return chunk, (kh - 1) * wp + kw - 1, n * hp * wp
 
 
 @pytest.mark.parametrize("k,stride,padding", CONV_REFERENCE_CASES)
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_backward_chunk_seams_within_ulps_of_saved_patch_reference(
         monkeypatch, k, stride, padding, seed):
-    monkeypatch.setattr(tensor_module, "_BACKWARD_CHUNK", SEAM_CHUNK)
+    h = 9 if stride == 2 else 8
+    chunk, lead, width = seam_chunk(monkeypatch, (3, 5, h, h), (7, 5, k, k), padding)
+    # A multi-tap chunk is narrower than its lead; a 1x1 grid ends in a ragged chunk.
+    assert chunk < lead if k > 1 else width % chunk
     (out, dx, dw), (ref_out, ref_dx, ref_dw) = conv_against_saved_patches(k, stride, padding, seed)
     for got, ref in [(out, ref_out), (dx, ref_dx), (dw, ref_dw)]:
         assert_within_8_ulps(got, ref)
@@ -599,9 +619,11 @@ def test_conv_backward_chunk_seams_within_ulps_of_saved_patch_reference(
 @pytest.mark.parametrize("k,stride,padding", FORWARD_CASES)
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_forward_chunk_seams_match_per_tap_reference(monkeypatch, k, stride, padding, seed):
-    # 7 columns is narrower than every multi-tap lead here (at least 20), so each
-    # chunk's GEMM reads past the next seams.
-    monkeypatch.setattr(tensor_module, "_FORWARD_CHUNK", SEAM_CHUNK)
+    # Each multi-tap chunk is narrower than its lead, so its GEMM reads past the
+    # next seams; a 1x1 forward is one GEMM and has no chunks.
+    h = 9 if stride == 2 else 8
+    chunk, lead, _ = seam_chunk(monkeypatch, (3, 5, h, h + 1), (7, 5, k, k), padding)
+    assert chunk < lead or k == 1
     out, ref = conv_forward_against_per_tap(k, stride, padding, seed)
     assert same_bits(out, ref)
 
@@ -609,10 +631,10 @@ def test_conv_forward_chunk_seams_match_per_tap_reference(monkeypatch, k, stride
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_conv_at_chunk_seams(monkeypatch, stride, seed):
-    monkeypatch.setattr(tensor_module, "_BACKWARD_CHUNK", SEAM_CHUNK)
-    monkeypatch.setattr(tensor_module, "_FORWARD_CHUNK", SEAM_CHUNK)
-    rng = np.random.default_rng(700 + seed)
     h = 6 if stride == 1 else 7
+    chunk, lead, _ = seam_chunk(monkeypatch, (2, 3, h, h), (4, 3, 3, 3), 1)
+    assert chunk < lead
+    rng = np.random.default_rng(700 + seed)
     x = rand64(rng, (2, 3, h, h))
     w = rand64(rng, (4, 3, 3, 3))
     oh = (h + 2 - 3) // stride + 1
@@ -620,6 +642,38 @@ def test_fd_conv_at_chunk_seams(monkeypatch, stride, seed):
     report = check_gradients(
         lambda a, b: weighted_sum(conv2d(a, b, stride=stride, padding=1), proj), [x, w])
     assert report.passed, report.max_rel_error
+
+
+def planned_convs(plan, batch):
+    """(conv, operand size) for every Conv in the plan, the operand being the padded,
+    channel-major (C, N*Hp*Wp) input that both directions of conv2d chunk over."""
+    h, w = plan.spec.input.height, plan.spec.input.width
+    for unit in plan.units:
+        for op in unit.ops:
+            if isinstance(op, Conv):
+                hp, wp = h + 2 * op.padding, w + 2 * op.padding
+                assert (hp - op.kernel) // op.stride + 1 == op.out_h, op.name  # the walk's sizes
+                yield op, op.in_channels * batch * hp * wp
+                h, w = op.out_h, op.out_w
+            elif isinstance(op, Pool):
+                if op.kind == "max":
+                    h = (h + 2 * op.padding - op.kernel) // op.stride + 1
+                    w = (w + 2 * op.padding - op.kernel) // op.stride + 1
+                else:
+                    h, w = (1, 1) if op.kind == "global" else (h // op.stride, w // op.stride)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.dirname(config_path("x")))))
+def test_conv_chunk_stays_within_operand_and_4096_columns(name):
+    # One chunk width serves forward and backward: at most 4096 columns, and a
+    # (kh*kw*O, chunk) tap stack no larger than the operand unless 1024 columns are.
+    convs = list(planned_convs(plan_network(load_spec(config_path(name))), batch=64))
+    assert convs
+    for conv, operand_size in convs:
+        rows = conv.kernel * conv.kernel * conv.out_channels
+        chunk = tensor_module._chunk_columns(operand_size, rows)
+        assert 0 < chunk <= 4096, (conv.name, chunk)
+        assert rows * chunk <= max(operand_size, rows * 1024), (conv.name, chunk, operand_size)
 
 
 def test_conv_forward_peak_stays_below_per_tap_peak():
@@ -919,3 +973,37 @@ def test_load_array_rejects_malformed_sidecar(tmp_path, sidecar):
     (tmp_path / "arr.json").write_text(sidecar)
     with pytest.raises(CheckpointError):
         load_array(tmp_path / "arr")
+
+
+@contextmanager
+def debug(enabled):
+    previous = tensor_module._DEBUG
+    set_debug(enabled)
+    try:
+        yield
+    finally:
+        set_debug(previous)
+
+
+def nan_input_and_fresh_batch_norm():
+    x = Tensor(np.array([[[[1.0, np.nan]]]], dtype=np.float32))
+    ones, zeros = Tensor(np.ones(1, np.float32)), Tensor(np.zeros(1, np.float32))
+    return x, lambda: batch_norm(Tensor(np.ones((2, 1, 2, 2), np.float32)), ones, zeros,
+                                 BatchNormState.create(1), training=False)
+
+
+def test_debug_mode_names_non_finite_op_and_warns_on_untrained_batch_norm():
+    x, eval_bn = nan_input_and_fresh_batch_norm()
+    with debug(True):
+        with pytest.raises(NonFiniteError, match="relu"):
+            relu(x)
+        with pytest.warns(RuntimeWarning, match="before any training step"):
+            eval_bn()
+
+
+def test_debug_mode_off_neither_raises_nor_warns():
+    x, eval_bn = nan_input_and_fresh_batch_norm()
+    with debug(False), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(relu(x).data).any()
+        eval_bn()
