@@ -104,9 +104,8 @@ class Network:
         if isinstance(op, Conv):
             return T.conv2d(x, self.params[op.name], op.stride, op.padding)
         if isinstance(op, BnRelu):
-            return T.relu(T.batch_norm(x, self.params[f"{op.name}.gamma"],
-                                       self.params[f"{op.name}.beta"], self.bn_states[op.name],
-                                       training))
+            return T.batch_norm(x, self.params[f"{op.name}.gamma"], self.params[f"{op.name}.beta"],
+                                self.bn_states[op.name], training, relu=True)
         if isinstance(op, Linear):
             return T.linear(x, self.params[f"{op.name}.weight"], self.params[f"{op.name}.bias"])
         if op.kind == "max":

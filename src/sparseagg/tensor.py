@@ -6,19 +6,33 @@ checker.  No op mutates its inputs; ``backward`` accumulates into the
 ``.grad`` of leaf tensors and leaves it in place until the caller zeroes it.
 
 Retention rule: a backward closure keeps the op's inputs, its own output
-(relu) and per-channel statistics, never a derived full-size buffer.  Conv
-keeps ``x`` and ``w`` and rebuilds its padded channel-major GEMM operand
-(1.1-1.6x its input; there is no patch matrix) in backward.  Both
-directions stack the kernel taps one column chunk at a time and free the
-stack before returning; one chunk width per conv serves both: as wide as
-keeps the (kh*kw*O, chunk) tap stack within the operand's size, clamped to
-1024-4096 columns.  Average
-pooling adds and fills strided views and keeps only its input.  Batch norm
-rebuilds ``xhat`` from its input, mean and inverse std.  The graph already
-holds every op's input and output, so what a training step keeps alive
-between forward and backward is the activations themselves.  The only
-derived arrays kept are output-sized ones: max-pool argmax indices and
-softmax probabilities.
+(relu, and batch norm with ``relu=True``, which masks ``g`` with it) and
+per-channel statistics, never a derived full-size buffer.  A planned
+``BnRelu`` is that one batch-norm node: the ReLU runs in place on the
+batch-norm buffer, so only the post-ReLU output is kept, not the pre-ReLU
+one as well.  Conv keeps ``x`` and ``w`` and rebuilds its padded
+channel-major GEMM operand (1.1-1.6x its input; there is no patch matrix)
+in backward.  Both directions stack the kernel taps one column chunk at a
+time and free the stack before returning; one chunk width per conv serves
+both: as wide as keeps the (kh*kw*O, chunk) tap stack within the operand's
+size, clamped to 1024-4096 columns.  Average pooling adds and fills
+strided views and keeps only its input.  Batch norm rebuilds ``xhat`` from
+its input, mean and inverse std.  The graph already holds every op's input
+and output, so what a training step keeps alive between forward and
+backward is the activations themselves.  The only derived arrays kept are
+output-sized ones: max-pool argmax indices and softmax probabilities.
+
+Gradient handover: ``accumulate_grad`` copies a tensor's first gradient
+into a buffer of its own.  An op that built an array for this call alone
+hands it over with ``_take_grad`` instead, and it becomes ``.grad`` with no
+copy: relu's masked gradient, batch norm's ``dx`` (fused or not, train or
+eval), the ``dx`` of ``avg_pool2d`` and ``global_avg_pool``, ``linear``'s
+``x`` and ``w`` gradients and the logits gradient of
+``softmax_cross_entropy``.  These copy: concat's slices, conv's unpadded
+``d_operand`` and transposed ``dW`` and max pool's ``dx`` (views, which
+would pin a larger buffer or keep a strided layout), the sum/average
+aggregate's one gradient (handed to every parent, which must not share
+it) and the seed gradient of ``Tensor.backward`` (the caller's array).
 
 Set ``SPARSEAGG_DEBUG=1`` (or call ``set_debug(True)``) to assert every op
 output is finite and to warn when batch norm is evaluated before any
@@ -109,6 +123,18 @@ class Tensor:
             np.copyto(self.grad, g, casting="same_kind")
         else:
             self.grad += g
+
+    def _take_grad(self, g: np.ndarray) -> None:
+        """``accumulate_grad`` for an array the op built for this call and drops.
+
+        The first such array becomes ``.grad`` itself, with no copy, when it
+        has the data's dtype and shape and is C-contiguous.
+        """
+        if (self.grad is None and g.dtype == self.data.dtype and g.shape == self.data.shape
+                and g.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.accumulate_grad(g)
 
     def backward(self, grad: np.ndarray | None = None, free_graph: bool = True) -> None:
         """Reverse-mode sweep from this tensor through recorded ops.
@@ -323,11 +349,16 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               training: bool) -> Tensor:
-    """Per-channel batch norm over an NCHW tensor.
+               training: bool, relu: bool = False) -> Tensor:
+    """Per-channel batch norm over an NCHW tensor, optionally followed by ReLU.
 
     Training mode normalizes by batch statistics (biased variance) and
     updates ``state``; eval mode uses the running statistics.
+
+    ``relu=True`` makes the pair one node with the bits of
+    ``relu(batch_norm(...))``: forward applies the ReLU in place on the
+    batch-norm buffer, so only the post-ReLU output is kept, and backward
+    masks ``g`` with ``out > 0`` before the batch-norm backward.
     """
     _check_float(x, "x", "batch_norm")
     if x.data.ndim != 4:
@@ -359,8 +390,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     out *= inv4
     out *= g4
     out += b4
+    out = out.astype(xd.dtype, copy=False)
+    if relu:
+        np.maximum(out, 0, out=out)  # propagates NaN, as relu() does
 
     def backward(g):
+        if relu:
+            g = g * (out > 0)
         xhat = xd - mu.reshape(1, c, 1, 1)
         xhat *= inv4
         sum_g = np.einsum("nchw->c", g)
@@ -372,7 +408,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         if not x.requires_grad:
             return
         if not training:
-            x.accumulate_grad(g * (g4 * inv4))
+            x._take_grad(g * (g4 * inv4))
             return
         # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat)), built in xhat's buffer
         dx = xhat
@@ -380,9 +416,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         dx += g
         dx -= (sum_g / count).reshape(1, c, 1, 1)
         dx *= g4 * inv4
-        x.accumulate_grad(dx)
+        x._take_grad(dx)
 
-    return _result(out.astype(xd.dtype, copy=False), (x, gamma, beta), backward, "batch_norm")
+    return _result(out, (x, gamma, beta), backward, "batch_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +431,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g * (out > 0))
+            x._take_grad(g * (out > 0))
 
     return _result(out, (x,), backward, "relu")
 
@@ -430,7 +466,7 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
             for ky in range(kernel):
                 for kx in range(kernel):
                     dx[:, :, ky::kernel, kx::kernel] = share
-            x.accumulate_grad(dx)
+            x._take_grad(dx)
 
     return _result(out, (x,), backward, "avg_pool2d")
 
@@ -462,7 +498,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             ge = np.broadcast_to(g.reshape(n, c, 1, 1), x.data.shape) / (h * w)
-            x.accumulate_grad(ge.astype(x.data.dtype, copy=False))
+            x._take_grad(ge.astype(x.data.dtype, copy=False))
 
     return _result(out, (x,), backward, "global_avg_pool")
 
@@ -481,9 +517,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g @ w.data.T)
+            x._take_grad(g @ w.data.T)
         if w.requires_grad:
-            w.accumulate_grad(x.data.T @ g)
+            w._take_grad(x.data.T @ g)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.sum(axis=0))
 
@@ -509,7 +545,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         if logits.requires_grad:
             d = probs.copy()
             d[np.arange(n), labels] -= 1.0
-            logits.accumulate_grad((g * d / n).astype(logits.data.dtype, copy=False))
+            logits._take_grad((g * d / n).astype(logits.data.dtype, copy=False))
 
     return _result(loss, (logits,), backward, "softmax_cross_entropy")
 
@@ -552,7 +588,8 @@ def aggregate(op: str, tensors: list[Tensor]) -> Tensor:
     for t in tensors[1:]:
         total += t.data
     scale = 1.0 / len(tensors) if op == "average" else 1.0
-    out = total * scale if op == "average" else total
+    if op == "average":
+        total *= scale
 
     def backward_sum(g):
         gs = g * scale if op == "average" else g
@@ -560,7 +597,7 @@ def aggregate(op: str, tensors: list[Tensor]) -> Tensor:
             if t.requires_grad:
                 t.accumulate_grad(gs)
 
-    return _result(out.astype(tensors[0].data.dtype, copy=False), tuple(tensors), backward_sum, "aggregate")
+    return _result(total, tuple(tensors), backward_sum, "aggregate")
 
 
 def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sparseagg.errors import CheckpointError
 from sparseagg.model import ForwardStats, compile_network, load_checkpoint, save_checkpoint
 from sparseagg.tensor import conv2d, no_grad, save_array, softmax_cross_entropy
 from sparseagg.topology import Sparse
+from sparseagg.train import SGD
 
 CONFIGS_WITH_TOTALS = [
     ("sparse_bc_tiny_cifar.json", 37_978),
@@ -159,6 +161,38 @@ def test_sparse_caches_fewer_activations_than_dense():
     n = dense.plan.blocks[0].num_layers
     assert dense_stats.peak_cached == n + 1
     assert sparse_stats.peak_cached < dense_stats.peak_cached
+
+
+def test_each_bn_relu_runs_as_one_node(monkeypatch):
+    def unfused(x):
+        raise AssertionError("a planned BnRelu ran relu as a node of its own")
+
+    monkeypatch.setattr(tensor_module, "relu", unfused)
+    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0)
+    rng = np.random.default_rng(8)
+    x = batch(rng, 2)
+    softmax_cross_entropy(net.forward(x, training=True), np.array([1, 2])).backward()
+    with no_grad():
+        net.forward(x, training=False)
+
+
+def test_training_step_peak_stays_under_bound():
+    # sparse_bc_tiny at batch 16: 66.97 MB when BnRelu ran as two nodes and
+    # every first gradient was copied, 46.65 MB with one node and handover.
+    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0)
+    sgd = SGD(net.params, lr=0.1)
+    rng = np.random.default_rng(1)
+    x = batch(rng, 16)
+    labels = rng.integers(0, 10, size=16)
+    tracemalloc.start()
+    try:
+        loss = softmax_cross_entropy(net.forward(x, training=True), labels)
+        loss.backward()
+        sgd.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000_000, peak
 
 
 def test_plain_topology_keeps_constant_live_set():
