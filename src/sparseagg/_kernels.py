@@ -1,14 +1,8 @@
 """Hot inner loops: the conv operand gather and fold, and max-pool routing.
 
-Everything here is vectorized numpy.  ``tensor.conv2d`` reads shifted views
-of a zero-padded, channel-major copy of its input (Anderson et al.,
-*Low-memory GEMM-based convolution algorithms*, arXiv 1709.03395), so no
-patch matrix is built at any kernel size or stride.  Both directions stack
-the kernel taps and walk the operand one column chunk at a time: forward
-runs one GEMM per chunk with all tap weights stacked and adds each tap's
-shifted rows, backward stacks the taps' shifted gradient views and runs two
-GEMMs per chunk; one chunk width per conv, 1024 to 4096 columns, serves
-both.  ``im2col`` gathers that operand and ``col2im`` folds its
+Everything here is vectorized numpy.  ``im2col`` gathers the zero-padded,
+channel-major operand whose shifted views ``tensor.conv2d`` reads (its
+docstring describes the algorithm), and ``col2im`` folds the operand's
 gradient back onto the input; they keep the names of the patch gather and
 scatter they replaced, and ``tensor`` looks them up at call time, so a
 profiler can wrap them.  Max pooling is a running max over the kernel**2

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import active_backend
 from .architecture import analyze, compare_topologies, load_spec, spec_hash
-from .errors import ValidationError
+from .errors import CheckpointError, ValidationError
 from .introspect import export_heatmap, weight_heatmap
 from .model import compile_network, load_checkpoint, save_checkpoint
 from .topology import build_graph, export_dot, export_json, format_topology, parse_topology
@@ -33,6 +33,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, as numpy and checkpoints require."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _topology_list(text: str) -> list[str]:
+    """argparse type: a comma-separated list of at least one topology name."""
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one topology, got {text!r}")
+    return names
 
 
 def _versions() -> dict:
@@ -56,7 +71,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=".", help="directory for all outputs (default: .)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("graph", help="build a skip topology and export it")
     common(p)
@@ -69,7 +84,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--spec", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--compare", default=None,
+    p.add_argument("--compare", type=_topology_list, default=None,
                    help="comma-separated topologies to re-plan the spec with")
 
     p = sub.add_parser("train", help="train a compiled network on CIFAR-10 binaries")
@@ -121,9 +136,8 @@ def _cmd_graph(args, record) -> None:
 def _cmd_analyze(args, record) -> None:
     spec = load_spec(args.spec)
     record["spec_hash"] = spec_hash(spec)
-    if args.compare:
-        kinds = [parse_topology(tok.strip()) for tok in args.compare.split(",") if tok.strip()]
-        reports = compare_topologies(spec, kinds)
+    if args.compare is not None:
+        reports = compare_topologies(spec, [parse_topology(name) for name in args.compare])
     else:
         reports = {format_topology(spec.topology): analyze(spec)}
     for name, report in reports.items():
@@ -159,12 +173,7 @@ def _cmd_eval(args, record) -> None:
     net, manifest = load_checkpoint(args.checkpoint)
     record["spec_hash"] = manifest["spec_hash"]
     data = load_cifar10(args.data, test_subset=args.subset)
-    extra = manifest.get("extra", {})
-    if "mean" in extra and "std" in extra:
-        mean = np.asarray(extra["mean"], dtype=np.float32)
-        std = np.asarray(extra["std"], dtype=np.float32)
-    else:
-        mean, std = data.mean, data.std
+    mean, std = _normalization(manifest.get("extra", {}), data)
     loss, err = evaluate(net, data.test_images, data.test_labels, mean, std, args.batch_size)
     metrics = {"test_loss": loss, "test_err": err, "images": int(data.test_labels.shape[0])}
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
@@ -172,6 +181,27 @@ def _cmd_eval(args, record) -> None:
         fh.write("\n")
     record.update(metrics)
     print(f"test error {err:.4f}  loss {loss:.4f}  over {metrics['images']} images")
+
+
+def _normalization(extra, data) -> tuple[np.ndarray, np.ndarray]:
+    """The checkpoint's per-channel mean and std, else those fitted on ``data``."""
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"checkpoint manifest field 'extra' must be a JSON object, "
+                              f"got {extra!r}")
+    if "mean" not in extra or "std" not in extra:
+        return data.mean, data.std
+    limit = float(np.finfo(np.float32).max)
+    for key in ("mean", "std"):
+        value = extra[key]
+        # bool is an int subclass; NaN and inf fail the range test
+        if not (isinstance(value, list) and len(value) == 3
+                and all(type(v) in (int, float) and abs(v) <= limit for v in value)):
+            raise CheckpointError(f"checkpoint extra.{key} must be three finite numbers, "
+                                  f"got {value!r}")
+    mean, std = (np.asarray(extra[key], dtype=np.float32) for key in ("mean", "std"))
+    if not (std > 0).all():
+        raise CheckpointError(f"checkpoint extra.std must be above 0, got {extra['std']!r}")
+    return mean, std
 
 
 def _cmd_heatmap(args, record) -> None:

@@ -12,6 +12,7 @@ constant rows normalize to 1.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -120,7 +121,14 @@ def load_heatmap_csv(path) -> tuple[np.ndarray, np.ndarray]:
         for s, cell in enumerate(cells[1:]):
             if cell == ABSENT:
                 continue
-            matrix[i, s] = float(cell)
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataFormatError(f"{path} row {i + 2} has a cell that is not a finite "
+                                      f"number: {cell!r}")
+            matrix[i, s] = value
             mask[i, s] = True
     return matrix, mask
 

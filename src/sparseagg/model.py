@@ -49,7 +49,7 @@ CHECKPOINT_FORMAT = "aggnet-checkpoint-v1"
 _MANIFEST_FIELDS = {"spec": dict, "spec_hash": str, "seed": int, "dtype": str,
                     "params": list, "bn_states": dict}
 _BN_META_FIELDS = {"steps": int, "eps": (int, float), "momentum": (int, float)}
-_FLOAT_DTYPES = ("float16", "float32", "float64")
+_FLOAT_DTYPES = ("float32", "float64")  # the dtypes Tensor and save_array support
 
 @dataclass
 class ForwardStats:
@@ -85,9 +85,6 @@ class Network:
         self.dtype = np.dtype(dtype)
 
     # -- parameter access ---------------------------------------------------
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def num_params(self) -> int:
         return sum(int(p.data.size) for p in self.params.values())

@@ -10,29 +10,21 @@ Retention rule: a backward closure keeps the op's inputs, its own output
 per-channel statistics, never a derived full-size buffer.  A planned
 ``BnRelu`` is that one batch-norm node: the ReLU runs in place on the
 batch-norm buffer, so only the post-ReLU output is kept, not the pre-ReLU
-one as well.  Conv keeps ``x`` and ``w`` and rebuilds its padded
-channel-major GEMM operand (1.1-1.6x its input; there is no patch matrix)
-in backward.  Both directions stack the kernel taps one column chunk at a
-time and free the stack before returning; one chunk width per conv serves
-both: as wide as keeps the (kh*kw*O, chunk) tap stack within the operand's
-size, clamped to 1024-4096 columns.  Average pooling adds and fills
-strided views and keeps only its input.  Batch norm rebuilds ``xhat`` from
-its input, mean and inverse std.  The graph already holds every op's input
-and output, so what a training step keeps alive between forward and
-backward is the activations themselves.  The only derived arrays kept are
+one as well.  Conv keeps ``x`` and ``w`` and rebuilds its operand in
+backward (see ``conv2d``).  Average pooling adds and fills strided views
+and keeps only its input.  Batch norm rebuilds ``xhat`` from its input,
+mean and inverse std.  The graph already holds every op's input and
+output, so what a training step keeps alive between forward and backward
+is the activations themselves.  The only derived arrays kept are
 output-sized ones: max-pool argmax indices and softmax probabilities.
 
-Gradient handover: ``accumulate_grad`` copies a tensor's first gradient
-into a buffer of its own.  An op that built an array for this call alone
-hands it over with ``_take_grad`` instead, and it becomes ``.grad`` with no
-copy: relu's masked gradient, batch norm's ``dx`` (fused or not, train or
-eval), the ``dx`` of ``avg_pool2d`` and ``global_avg_pool``, ``linear``'s
-``x`` and ``w`` gradients and the logits gradient of
-``softmax_cross_entropy``.  These copy: concat's slices, conv's unpadded
-``d_operand`` and transposed ``dW`` and max pool's ``dx`` (views, which
-would pin a larger buffer or keep a strided layout), the sum/average
-aggregate's one gradient (handed to every parent, which must not share
-it) and the seed gradient of ``Tensor.backward`` (the caller's array).
+Gradient ownership: each backward closure owns the gradient it is handed
+and may overwrite it.  ``accumulate_grad`` takes ownership of what it is
+given: it adds into an existing ``.grad``, adopts an array that owns its
+memory and is C-contiguous with the data's dtype and shape, and copies
+anything else.  So an op hands over arrays it built and passes views
+(concat slices, one view of a shared gradient per parent), which are
+copied.
 
 Set ``SPARSEAGG_DEBUG=1`` (or call ``set_debug(True)``) to assert every op
 output is finite and to warn when batch norm is evaluated before any
@@ -118,30 +110,30 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g, casting="same_kind")
-        else:
-            self.grad += g
+        """Add ``g`` into ``.grad``, taking ownership of ``g``.
 
-    def _take_grad(self, g: np.ndarray) -> None:
-        """``accumulate_grad`` for an array the op built for this call and drops.
-
-        The first such array becomes ``.grad`` itself, with no copy, when it
-        has the data's dtype and shape and is C-contiguous.
+        The first gradient becomes ``.grad`` itself when it owns its memory
+        and is C-contiguous with the data's dtype and shape; anything else,
+        views included, is copied.  The caller must not write to ``g``
+        afterwards.
         """
-        if (self.grad is None and g.dtype == self.data.dtype and g.shape == self.data.shape
-                and g.flags.c_contiguous):
+        if self.grad is not None:
+            self.grad += g
+        elif (g.flags.owndata and g.flags.c_contiguous and g.dtype == self.data.dtype
+              and g.shape == self.data.shape):
             self.grad = g
         else:
-            self.accumulate_grad(g)
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g, casting="same_kind")
 
     def backward(self, grad: np.ndarray | None = None, free_graph: bool = True) -> None:
         """Reverse-mode sweep from this tensor through recorded ops.
 
-        With ``free_graph`` each op's closure, parent links and gradient are
-        dropped as soon as its backward has run, so activations are freed
-        during the sweep; leaf tensors (parameters, inputs) keep ``.grad``.
+        Each closure is handed its node's gradient to own.  With
+        ``free_graph`` the node's ``.grad`` is cleared before the call and
+        its closure and parent links after it, so activations are freed
+        during the sweep; without it the closure gets a copy.  Leaf tensors
+        (parameters, inputs) keep ``.grad``; ``grad`` itself is copied.
         """
         if not self.requires_grad:
             raise ValueError("backward on a tensor that does not require grad")
@@ -164,15 +156,18 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
-        self.accumulate_grad(np.asarray(grad, dtype=self.data.dtype))
+        self.accumulate_grad(np.array(grad, dtype=self.data.dtype))
         while topo:
             node = topo.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if free_graph:
-                    node._backward = None
-                    node._parents = ()
-                    node.grad = None
+            if node._backward is None or node.grad is None:
+                continue
+            if free_graph:
+                g, node.grad = node.grad, None
+                node._backward(g)
+                node._backward = None
+                node._parents = ()
+            else:
+                node._backward(node.grad.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -207,12 +202,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution (cross-correlation), no bias.
 
     The output size is floored, ``oh = (H + 2 * padding - kh) // stride + 1``,
-    as the planner sizes it.  Window origin q of the flat padded operand
-    ``K.im2col(x)`` (C, N*Hp*Wp) gets ``sum_t W_t @ operand[:, q + offset_t]``
-    over the kernel taps t = (ky, kx), ``offset_t = ky * Wp + kx``, on the
-    dense (O, N, Hp, Wp) grid of origins; the output is the grid's
-    ``[::stride, ::stride]`` corner.  A strided conv pays stride**2 more
-    FLOPs for one path.
+    as the planner sizes it.  The conv reads shifted views of a zero-padded,
+    channel-major copy of ``x`` (Anderson et al., arXiv 1709.03395), so no
+    patch matrix is built at any kernel size or stride.  Window origin q of
+    the flat padded operand ``K.im2col(x)`` (C, N*Hp*Wp) gets
+    ``sum_t W_t @ operand[:, q + offset_t]`` over the kernel taps
+    t = (ky, kx), ``offset_t = ky * Wp + kx``, on the dense (O, N, Hp, Wp)
+    grid of origins; the output is the grid's ``[::stride, ::stride]``
+    corner.  A strided conv pays stride**2 more FLOPs for one path.
 
     Forward stacks the taps: per chunk [a, b) of grid columns it runs one
     GEMM ``W_cat @ operand[:, a:b + lead]``, with ``W_cat`` the (kh*kw*O, C)
@@ -227,7 +224,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     once.
 
     Both directions use one chunk width per call, ``_chunk_columns``: a tap
-    stack no larger than the operand, 1024 to 4096 columns wide.
+    stack no larger than the operand, 1024 to 4096 columns wide.  Backward
+    rebuilds the operand (1.1-1.6x the input) rather than keeping it, and
+    frees the tap stack before returning.
     """
     _check_float(x, "x", "conv2d")
     _check_float(w, "w", "conv2d")
@@ -396,7 +395,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     def backward(g):
         if relu:
-            g = g * (out > 0)
+            np.multiply(g, out > 0, out=g)
         xhat = xd - mu.reshape(1, c, 1, 1)
         xhat *= inv4
         sum_g = np.einsum("nchw->c", g)
@@ -408,7 +407,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         if not x.requires_grad:
             return
         if not training:
-            x._take_grad(g * (g4 * inv4))
+            g *= g4 * inv4
+            x.accumulate_grad(g)
             return
         # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat)), built in xhat's buffer
         dx = xhat
@@ -416,7 +416,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         dx += g
         dx -= (sum_g / count).reshape(1, c, 1, 1)
         dx *= g4 * inv4
-        x._take_grad(dx)
+        x.accumulate_grad(dx)
 
     return _result(out, (x, gamma, beta), backward, "batch_norm")
 
@@ -431,7 +431,8 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._take_grad(g * (out > 0))
+            np.multiply(g, out > 0, out=g)
+            x.accumulate_grad(g)
 
     return _result(out, (x,), backward, "relu")
 
@@ -466,7 +467,7 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
             for ky in range(kernel):
                 for kx in range(kernel):
                     dx[:, :, ky::kernel, kx::kernel] = share
-            x._take_grad(dx)
+            x.accumulate_grad(dx)
 
     return _result(out, (x,), backward, "avg_pool2d")
 
@@ -498,7 +499,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             ge = np.broadcast_to(g.reshape(n, c, 1, 1), x.data.shape) / (h * w)
-            x._take_grad(ge.astype(x.data.dtype, copy=False))
+            x.accumulate_grad(ge.astype(x.data.dtype, copy=False))
 
     return _result(out, (x,), backward, "global_avg_pool")
 
@@ -517,9 +518,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._take_grad(g @ w.data.T)
+            x.accumulate_grad(g @ w.data.T)
         if w.requires_grad:
-            w._take_grad(x.data.T @ g)
+            w.accumulate_grad(x.data.T @ g)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.sum(axis=0))
 
@@ -545,7 +546,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         if logits.requires_grad:
             d = probs.copy()
             d[np.arange(n), labels] -= 1.0
-            logits._take_grad((g * d / n).astype(logits.data.dtype, copy=False))
+            logits.accumulate_grad((g * d / n).astype(logits.data.dtype, copy=False))
 
     return _result(loss, (logits,), backward, "softmax_cross_entropy")
 
@@ -592,10 +593,11 @@ def aggregate(op: str, tensors: list[Tensor]) -> Tensor:
         total *= scale
 
     def backward_sum(g):
-        gs = g * scale if op == "average" else g
+        if op == "average":
+            g *= scale
         for t in tensors:
             if t.requires_grad:
-                t.accumulate_grad(gs)
+                t.accumulate_grad(g[...])
 
     return _result(total, tuple(tensors), backward_sum, "aggregate")
 

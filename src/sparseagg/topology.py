@@ -276,15 +276,11 @@ def shortest_gradient_path(graph: AggregationGraph, src: int, dst: int) -> int:
     return hops
 
 
-def export_dot(graph: AggregationGraph, labels: dict[int, str] | None = None) -> str:
+def export_dot(graph: AggregationGraph) -> str:
     """Deterministic DOT text: nodes F0..F{L-1}, edges sorted by (dst, src)."""
     lines = ["digraph aggregation {"]
     for node in range(graph.num_layers):
-        if labels and node in labels:
-            escaped = labels[node].replace('"', '\\"')
-            lines.append(f'  F{node} [label="{escaped}"];')
-        else:
-            lines.append(f"  F{node};")
+        lines.append(f"  F{node};")
     for src, dst in graph.edges():
         lines.append(f"  F{src} -> F{dst};")
     lines.append("}")

@@ -150,7 +150,7 @@ def _break_manifest(manifest, damage):
 
 @pytest.mark.parametrize("command", ["heatmap", "eval"])
 @pytest.mark.parametrize("damage", [
-    "list", "seed=abc", "dtype=bogus",
+    "list", "seed=abc", "dtype=bogus", "dtype=float16",
     *(f"missing-{key}" for key in ("spec", "spec_hash", "seed", "dtype", "params", "bn_states")),
 ])
 def test_malformed_checkpoint_manifest_exits_1(tmp_path, cifar_dir, command, damage):
@@ -164,6 +164,64 @@ def test_malformed_checkpoint_manifest_exits_1(tmp_path, cifar_dir, command, dam
     assert code == 1
     record = run_json(tmp_path / "out")
     assert record["status"] == "error" and "checkpoint" in record["error"]
+
+
+@pytest.mark.parametrize("extra", [
+    [[0.5, 0.5, 0.5], [0.25, 0.25, 0.25]],
+    {"mean": [0.5, 0.5], "std": [0.25, 0.25, 0.25]},
+    {"mean": [0.5, 0.5, 0.5, 0.5], "std": [0.25, 0.25, 0.25]},
+    {"mean": ["0.5", 0.5, 0.5], "std": [0.25, 0.25, 0.25]},
+    {"mean": [0.5, 0.5, 0.5], "std": [True, 0.25, 0.25]},
+    {"mean": [0.5, 0.5, 0.5], "std": "0.25"},
+    {"mean": [0.5, float("nan"), 0.5], "std": [0.25, 0.25, 0.25]},
+    {"mean": [0.5, 0.5, 0.5], "std": [1e39, 0.25, 0.25]},
+    {"mean": [0.5, 0.5, 0.5], "std": [0.25, 0.0, 0.25]},
+    {"mean": [0.5, 0.5, 0.5], "std": [0.25, -0.25, 0.25]},
+], ids=["list", "two-means", "four-means", "string-entry", "bool-entry", "string-std",
+        "nan-mean", "std-overflows-float32", "zero-std", "negative-std"])
+def test_eval_rejects_bad_checkpoint_normalization(tmp_path, cifar_dir, extra):
+    # Before the check: a list `extra`, a wrong entry count and a string entry
+    # exited 2; a zero std gave a NaN loss and exit 0.
+    ckpt = tmp_path / "checkpoint"
+    save_checkpoint(compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0),
+                    ckpt, extra={"mean": [0.5] * 3, "std": [0.25] * 3})
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["extra"] = extra
+    path.write_text(json.dumps(manifest))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", cifar_dir, "--subset", "10",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    record = run_json(tmp_path / "out")
+    assert record["status"] == "error" and "checkpoint" in record["error"]
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+@pytest.mark.parametrize("command", [
+    ["graph", "--topology", "dense", "--layers", "4"],
+    ["analyze", "--spec", config_path("sparse_bc_tiny_cifar.json")],
+    ["train", "--spec", config_path("sparse_bc_tiny_cifar.json"), "--data", "."],
+    ["eval", "--checkpoint", ".", "--data", "."],
+    ["heatmap", "--checkpoint", "."],
+], ids=lambda command: command[0])
+def test_bad_seed_exits_1(tmp_path, capsys, command, seed):
+    # `train --seed -1` used to reach numpy and exit 2
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", seed, "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("compare", [",", " , ", ""])
+def test_analyze_empty_compare_exits_1(tmp_path, capsys, compare):
+    # `--compare ","` used to exit 0 and write nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--spec", config_path("sparse_bc_tiny_cifar.json"),
+              "--compare", compare, "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "expected at least one topology" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_of_unpoolable_input_exits_1(tmp_path):

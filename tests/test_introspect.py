@@ -154,6 +154,10 @@ def test_csv_rejects_malformed_rows(tmp_path):
     bad.write_text("target,source_0,source_1\n1,0.5\n")
     with pytest.raises(DataFormatError):
         load_heatmap_csv(bad)
+    for cell in ("abc", "nan", "inf"):
+        bad.write_text(f"target,source_0,source_1\n1,{cell},{ABSENT}\n")
+        with pytest.raises(DataFormatError, match=cell):
+            load_heatmap_csv(bad)
     notcsv = tmp_path / "other.csv"
     notcsv.write_text("hello\n")
     with pytest.raises(DataFormatError):

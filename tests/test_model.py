@@ -195,6 +195,46 @@ def test_training_step_peak_stays_under_bound():
     assert peak < 50_000_000, peak
 
 
+def graph_tensors(root):
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("family", ["concat", "sum"])
+def test_every_gradient_owns_its_memory_and_shares_it_with_none(family):
+    # the sum-family spec is rewired to sparse:2 so that its sum aggregates
+    # have several parents
+    if family == "concat":
+        spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    else:
+        spec = dataclasses.replace(load_spec(config_path("sum_plain_d12_cifar.json")),
+                                   topology=Sparse(2))
+    net = compile_network(spec, seed=0)
+    rng = np.random.default_rng(11)
+    x = batch(rng, 16)
+    labels = rng.integers(0, 10, size=16)
+    grads = {}
+    for free_graph in (True, False):
+        net.zero_grad()
+        loss = softmax_cross_entropy(net.forward(x, training=True), labels)
+        # without free_graph every node keeps its .grad, so views handed to
+        # several parents would show up as shared memory here
+        tensors = net.params.values() if free_graph else graph_tensors(loss)
+        loss.backward(free_graph=free_graph)
+        held = [t.grad for t in tensors if t.grad is not None]
+        assert all(g.flags.owndata and g.flags.c_contiguous for g in held)
+        assert len({g.ctypes.data for g in held}) == len(held)
+        grads[free_graph] = {n: p.grad for n, p in net.params.items()}
+    assert all(g is not None for g in grads[True].values())
+    for name, g in grads[True].items():
+        np.testing.assert_array_equal(grads[False][name], g)
+
+
 def test_plain_topology_keeps_constant_live_set():
     spec = load_spec(config_path("sum_plain_d12_cifar.json"))
     net = compile_network(spec, seed=0)

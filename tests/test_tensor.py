@@ -401,6 +401,21 @@ def test_backward_frees_intermediate_gradients():
     weighted_sum(y, np.ones(y.shape)).backward(free_graph=False)
     np.testing.assert_array_equal(y.grad, np.ones((1, 1, 2, 2)))
 
+    # A closure may overwrite the gradient it is handed; without free_graph
+    # it is handed a copy, so the node's own .grad is left as it was.
+    x = t64(np.array([[[[-1.0, 2.0], [3.0, -4.0]]]]))
+    gamma, beta = t64(np.ones(1)), t64(np.zeros(1))
+    state = BatchNormState.create(1, dtype=np.float64)
+    for op in (relu,
+               lambda t: batch_norm(t, gamma, beta, state, training=True, relu=True),
+               lambda t: batch_norm(t, gamma, beta, state, training=False, relu=True),
+               lambda t: aggregate("average", [t, t])):
+        x.zero_grad()
+        y = op(x)
+        weighted_sum(y, np.ones(y.shape)).backward(free_graph=False)
+        np.testing.assert_array_equal(y.grad, np.ones((1, 1, 2, 2)))
+        assert x.grad is not None and not np.shares_memory(x.grad, y.grad)
+
 
 def test_backward_never_adopts_the_seed_gradient():
     x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
@@ -441,18 +456,18 @@ def backward_peak(out, g):
 
 
 def test_relu_and_fused_bn_relu_backward_hand_their_gradients_over():
-    # Measured at this shape: relu 2.32x its gradient (3.00x when its masked
-    # gradient was copied), fused BnRelu training 3.07x (the seed's copy, the
-    # masked gradient and dx); copying dx would add a fourth.
+    # Measured at this shape: relu 1.32x its gradient (the seed's copy, masked
+    # in place, and the mask), fused BnRelu training 2.07x (the masked seed
+    # copy and dx); 2.32x and 3.07x when the closures could not write into g.
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((16, 8, 32, 32)).astype(np.float32), requires_grad=True)
     gamma = Tensor(np.ones(8, np.float32), requires_grad=True)
     beta = Tensor(np.zeros(8, np.float32), requires_grad=True)
     g = rng.standard_normal(x.shape).astype(np.float32)
-    assert backward_peak(relu(x), g) < 2.5 * g.nbytes
+    assert backward_peak(relu(x), g) < 1.5 * g.nbytes
     x.zero_grad()
     out = batch_norm(x, gamma, beta, BatchNormState.create(8), training=True, relu=True)
-    assert backward_peak(out, g) < 3.25 * g.nbytes
+    assert backward_peak(out, g) < 2.25 * g.nbytes
     assert x.grad.base is None
 
 
