@@ -3,8 +3,10 @@
 ``NetworkSpec`` describes a network symbolically: an aggregation family
 (how predecessor outputs are combined), a skip topology, per-block layer
 counts and widths, a stem, and a classifier.  ``plan_network`` expands the
-spec into a ``NetworkPlan`` of units; ``analyze`` prices that plan in
-parameters and FLOPs without building any tensors.
+spec into a ``NetworkPlan``: the stem unit, then one ``BlockPlan`` per block
+holding the block's layer units and the exit unit the block owns (the
+transition after it, or the classifier after the last block).  ``analyze``
+prices that plan in parameters and FLOPs without building any tensors.
 
 Every unit -- the stem, each layer, each transition and the classifier --
 is one ``Unit``: the ``(pred, lo, hi)`` channel slice that each predecessor
@@ -325,8 +327,11 @@ class Unit:
 
 @dataclass(frozen=True)
 class BlockPlan:
+    """A block's layer units, then the exit unit it owns: its transition, or the classifier."""
+
     index: int
     layers: tuple[Unit, ...]
+    exit: Unit
 
     @property
     def num_layers(self) -> int:
@@ -335,29 +340,19 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class NetworkPlan:
+    """The stem unit, then each block with the exit unit it owns."""
+
     spec: NetworkSpec
     stem: Unit
     blocks: tuple[BlockPlan, ...]
-    transitions: tuple[Unit, ...]
-    classifier: Unit
-
-    @property
-    def exits(self) -> tuple[Unit, ...]:
-        """Per block, the unit that reads its closing aggregation."""
-        return (*self.transitions, self.classifier)
 
     @property
     def units(self):
         """Every unit in forward order, which is also CostReport row order."""
         yield self.stem
-        for block, exit_unit in zip(self.blocks, self.exits):
+        for block in self.blocks:
             yield from block.layers
-            yield exit_unit
-
-    def to_json(self) -> str:
-        obj = dataclasses.asdict(self)
-        obj["spec"] = self.spec.to_json_obj()
-        return json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n"
+            yield block.exit
 
 
 def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -395,7 +390,6 @@ def plan_network(spec: NetworkSpec) -> NetworkPlan:
     stem = Unit("stem", 0, ((0, 0, spec.input.channels),), block_in, tuple(ops))
 
     blocks: list[BlockPlan] = []
-    transitions: list[Unit] = []
     for bi, bspec in enumerate(spec.blocks, start=1):
         if spec.family in ("sum", "average") and block_in != bspec.width:
             # widths changed without a projection in front of this block
@@ -421,7 +415,6 @@ def plan_network(spec: NetworkSpec) -> NetworkPlan:
                        Conv(f"{prefix}.conv1", in_ch, width, 3, 1, 1, h, w)]
             layers.append(Unit(f"{bi}.{li}", bi, slices, width, tuple(ops)))
             widths[li] = width
-        blocks.append(BlockPlan(bi, tuple(layers)))
 
         slices = _slices(spec.family, predecessors(spec.topology, bspec.num_layers + 1), widths)
         close_ch = _span(slices)
@@ -429,6 +422,7 @@ def plan_network(spec: NetworkSpec) -> NetworkPlan:
             ops = [BnRelu("classifier.bn", close_ch), Pool("global"),
                    Linear("classifier.fc", close_ch, spec.num_classes)]
             classifier = Unit("classifier", bi, slices, spec.num_classes, tuple(ops))
+            blocks.append(BlockPlan(bi, tuple(layers), classifier))
             break
         if spec.family == "concat":
             out_ch = int(spec.compression * close_ch)
@@ -450,11 +444,11 @@ def plan_network(spec: NetworkSpec) -> NetworkPlan:
                 "choose an input size that every pooling stride divides"
             )
         ops.append(Pool("avg", stride, stride))
-        transitions.append(Unit(prefix, bi, slices, out_ch, tuple(ops)))
+        blocks.append(BlockPlan(bi, tuple(layers), Unit(prefix, bi, slices, out_ch, tuple(ops))))
         block_in = out_ch
         h, w = h // stride, w // stride
 
-    return NetworkPlan(spec, stem, tuple(blocks), tuple(transitions), classifier)
+    return NetworkPlan(spec, stem, tuple(blocks))
 
 
 # --------------------------------------------------------------------------
@@ -507,11 +501,10 @@ def _op_cost(op: Op) -> tuple[int, int]:
     return 0, 0
 
 
-def analyze(spec: NetworkSpec | NetworkPlan) -> CostReport:
+def analyze(spec: NetworkSpec) -> CostReport:
     """Price every unit of the planned network in parameters and FLOPs."""
-    plan = plan_network(spec) if isinstance(spec, NetworkSpec) else spec
     rows: list[CostRow] = []
-    for unit in plan.units:
+    for unit in plan_network(spec).units:
         costs = [_op_cost(op) for op in unit.ops]
         rows.append(CostRow(unit.row, unit.block, unit.in_channels, unit.out_channels,
                             sum(p for p, _ in costs), sum(f for _, f in costs)))

@@ -1,8 +1,9 @@
 """Command-line entry point: graph, analyze, train, eval, heatmap.
 
 Every invocation writes ``run.json`` under ``--out`` recording the command,
-seed, spec hash, library versions, wall time, and final status.  Exit codes:
-0 success, 1 validation/usage error, 2 runtime failure.
+seed, spec hash, library versions, wall time, and final status (on failure,
+the error's class and message).  Exit codes: 0 success, 1 validation/usage
+error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -239,16 +240,15 @@ def main(argv=None) -> int:
     code = 0
     try:
         _HANDLERS[args.command](args, record)
-    except (ValidationError, FileNotFoundError) as exc:
-        record["status"] = "error"
-        record["error"] = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
-    except Exception as exc:  # runtime failures: divergence, non-finite, bugs
+    except Exception as exc:
         record["status"] = "error"
         record["error"] = f"{type(exc).__name__}: {exc}"
-        print(f"runtime failure: {record['error']}", file=sys.stderr)
-        code = 2
+        if isinstance(exc, (ValidationError, FileNotFoundError)):
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        else:  # runtime failures: divergence, non-finite, bugs
+            print(f"runtime failure: {record['error']}", file=sys.stderr)
+            code = 2
     record["wall_time_s"] = time.perf_counter() - start
     with open(os.path.join(args.out, "run.json"), "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -105,7 +105,7 @@ def _block_csv(hm: BlockHeatmap) -> str:
 
 
 def load_heatmap_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read one exported block back as (matrix, mask)."""
+    """Read one exported block back as (matrix, mask); every wired cell lies in [0, 1]."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("target,"):
@@ -125,9 +125,9 @@ def load_heatmap_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 value = float(cell)
             except ValueError:
                 value = math.nan
-            if not math.isfinite(value):
-                raise DataFormatError(f"{path} row {i + 2} has a cell that is not a finite "
-                                      f"number: {cell!r}")
+            if not 0.0 <= value <= 1.0:  # NaN fails the range test too
+                raise DataFormatError(f"{path} row {i + 2} has a cell that is not a number "
+                                      f"in [0, 1]: {cell!r}")
             matrix[i, s] = value
             mask[i, s] = True
     return matrix, mask

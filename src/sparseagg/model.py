@@ -138,8 +138,8 @@ class Network:
             )
 
         out = self._unit(self.plan.stem, x, training)
-        for block, exit_unit in zip(self.plan.blocks, self.plan.exits):
-            remaining = Counter(p for unit in (*block.layers, exit_unit) for p in unit.predecessors)
+        for block in self.plan.blocks:
+            remaining = Counter(p for unit in (*block.layers, block.exit) for p in unit.predecessors)
             cache: dict[int, Tensor] = {0: out}
             peak = 1
             for li, unit in enumerate(block.layers, start=1):
@@ -149,8 +149,8 @@ class Network:
                 peak = max(peak, len(cache))
             if stats is not None:
                 stats.observe(peak)
-            out = self._gather(cache, remaining, exit_unit)  # drops the block input
-            out = self._unit(exit_unit, out, training)
+            out = self._gather(cache, remaining, block.exit)  # drops the block input
+            out = self._unit(block.exit, out, training)
         return out
 
     def predict(self, x) -> np.ndarray:
@@ -168,11 +168,12 @@ def compile_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Netwo
     params: dict[str, Tensor] = {}
     bn_states: dict[str, BatchNormState] = {}
     # Weights are drawn from the RNG in this order -- stem, every layer block
-    # by block, every transition, the classifier -- not in forward order:
-    # seeded initial weights, and so every seeded result and the seeded
-    # checkpoints already written, depend on it.
+    # by block, then every block's exit (the transitions, then the
+    # classifier) -- not in forward order: seeded initial weights, and so
+    # every seeded result and the seeded checkpoints already written,
+    # depend on it.
     layers = [unit for block in plan.blocks for unit in block.layers]
-    for unit in (plan.stem, *layers, *plan.transitions, plan.classifier):
+    for unit in (plan.stem, *layers, *(block.exit for block in plan.blocks)):
         for op in unit.ops:
             if isinstance(op, Conv):
                 params[op.name] = Tensor(
@@ -223,10 +224,13 @@ def save_checkpoint(net: Network, directory, epoch: int = 0, extra: dict | None 
         fh.write("\n")
 
 
-def _load_tensor(directory, name: str, shape: tuple) -> np.ndarray:
+def _load_tensor(directory, name: str, shape: tuple, dtype) -> np.ndarray:
     arr = T.load_array(os.path.join(directory, name))
     if arr.shape != shape:
         raise CheckpointError(f"checkpoint tensor {name} has shape {arr.shape}, expected {shape}")
+    arr = arr.astype(dtype, copy=False)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint tensor {name} holds a value that is not finite")
     return arr
 
 
@@ -270,16 +274,22 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
     if sorted(net.params) != manifest["params"]:
         raise CheckpointError("checkpoint parameter list does not match the compiled network")
     for name, p in net.params.items():
-        p.data = _load_tensor(directory, name, p.data.shape).astype(net.dtype, copy=False)
+        p.data = _load_tensor(directory, name, p.data.shape, net.dtype)
     for name, st in net.bn_states.items():
         meta = manifest["bn_states"].get(name)
         if meta is None:
             raise CheckpointError(f"checkpoint is missing batch-norm state {name}")
         _check_fields(meta, _BN_META_FIELDS, f"checkpoint batch-norm state {name}")
+        # NaN fails every comparison, so it is rejected here too
+        if not (meta["steps"] >= 0 and 0 < meta["eps"] < np.inf and 0 <= meta["momentum"] <= 1):
+            raise CheckpointError(f"checkpoint batch-norm state {name} needs steps >= 0, a finite "
+                                  f"eps > 0 and momentum in [0, 1], got {meta!r}")
         st.running_mean = _load_tensor(directory, f"{name}.running_mean",
-                                       st.running_mean.shape).astype(net.dtype)
+                                       st.running_mean.shape, net.dtype)
         st.running_var = _load_tensor(directory, f"{name}.running_var",
-                                      st.running_var.shape).astype(net.dtype)
+                                      st.running_var.shape, net.dtype)
+        if (st.running_var < 0).any():
+            raise CheckpointError(f"checkpoint tensor {name}.running_var holds a negative variance")
         st.steps = meta["steps"]
         st.eps = float(meta["eps"])
         st.momentum = float(meta["momentum"])

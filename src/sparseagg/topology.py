@@ -186,13 +186,6 @@ class AggregationGraph:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AggregationGraph):
-            return NotImplemented
-        return self.num_layers == other.num_layers and all(
-            np.array_equal(np.sort(a), np.sort(b)) for a, b in zip(self._preds, other._preds)
-        )
-
     def __repr__(self) -> str:
         return f"AggregationGraph(num_layers={self.num_layers}, num_edges={self.num_edges})"
 

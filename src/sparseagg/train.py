@@ -147,11 +147,9 @@ class TrainConfig:
     base_lr: float = 0.1
     lr_drops: tuple[float, ...] = (0.5, 0.75)
     momentum: float = 0.9
-    nesterov: bool = True
     weight_decay: float = 1e-4
     seed: int = 0
     augment: bool = True
-    decay_bn: bool = True
 
 
 def lr_for_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -165,44 +163,45 @@ class SGD:
 
     The decay term is added to the raw gradient before the momentum update,
     matching the common implementation: with fresh velocity the first step
-    is w -= lr * (1 + momentum) * (grad + wd * w).
+    is w -= lr * (1 + momentum) * (grad + wd * w).  Every parameter decays
+    alike, batch-norm scales and shifts and biases included.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9,
-                 weight_decay: float = 1e-4, nesterov: bool = True, decay_bn: bool = True):
+                 weight_decay: float = 1e-4):
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.nesterov = nesterov
+        self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.decay = {}
-        for name in params:
-            is_norm_or_bias = name.endswith((".gamma", ".beta", ".bias"))
-            self.decay[name] = 0.0 if (is_norm_or_bias and not decay_bn) else weight_decay
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def step(self) -> None:
-        mu = self.momentum
+        mu, wd = self.momentum, self.weight_decay
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            wd = self.decay[name]
             if wd:
                 g = g + wd * p.data
             buf = self.velocity[name]
             buf *= mu
             buf += g
-            update = g + mu * buf if self.nesterov else buf
-            p.data -= self.lr * update
+            p.data -= self.lr * (g + mu * buf)
 
 
 def _require_positive(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise TrainConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _require_rate(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not 0 <= value < np.inf:
+        raise TrainConfigError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _forward_loss(net: Network, x: np.ndarray, y: np.ndarray, training: bool):
@@ -236,13 +235,15 @@ def train_model(net: Network, data: Cifar10, cfg: TrainConfig,
     soon as the loss or a parameter gradient stops being finite; a
     non-finite gradient is caught before the optimizer writes it into the
     weights, and the error names the parameter.  Epochs and batch size
-    below 1 raise TrainConfigError.
+    below 1, and a learning rate or weight decay that is negative or not
+    finite, raise TrainConfigError.
     """
     _require_positive("epochs", cfg.epochs)
     _require_positive("batch size", cfg.batch_size)
+    _require_rate("learning rate", cfg.base_lr)
+    _require_rate("weight decay", cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    opt = SGD(net.params, lr=cfg.base_lr, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay, nesterov=cfg.nesterov, decay_bn=cfg.decay_bn)
+    opt = SGD(net.params, lr=cfg.base_lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     n = data.train_images.shape[0]
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):

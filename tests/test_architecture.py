@@ -68,9 +68,9 @@ def test_unit_slices_tile_the_aggregated_input(name):
     plan = plan_network(spec)
     assert plan.stem.in_channels == spec.input.channels
     feeding = plan.stem
-    for block, exit_unit in zip(plan.blocks, plan.exits):
+    for block in plan.blocks:
         widths = [feeding.out_channels] + [unit.out_channels for unit in block.layers]
-        for li, unit in enumerate((*block.layers, exit_unit), start=1):
+        for li, unit in enumerate((*block.layers, block.exit), start=1):
             assert unit.predecessors == tuple(predecessors(spec.topology, li))
             lo = 0
             for p, start, end in unit.slices:
@@ -83,7 +83,17 @@ def test_unit_slices_tile_the_aggregated_input(name):
             if spec.family == "concat":
                 assert lo == unit.in_channels
             assert unit.ops[0].channels == unit.in_channels  # every unit opens with BN-ReLU
-        feeding = exit_unit
+        feeding = block.exit
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_each_block_owns_its_exit_unit(name):
+    plan = plan_network(load_spec(config_path(name)))
+    rows = [block.exit.row for block in plan.blocks]
+    assert rows == [f"transition{i}" for i in range(1, len(plan.blocks))] + ["classifier"]
+    assert [block.exit.block for block in plan.blocks] == [block.index for block in plan.blocks]
+    assert [f.name for f in dataclasses.fields(plan)] == ["spec", "stem", "blocks"]
+    assert [f.name for f in dataclasses.fields(plan.blocks[0])] == ["index", "layers", "exit"]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +183,7 @@ def test_report_csv_shape():
 
 def test_plan_json_deterministic():
     spec = load_spec(config_path("sparse40_k12_cifar.json"))
-    assert plan_network(spec).to_json() == plan_network(spec).to_json()
+    assert plan_network(spec) == plan_network(spec)
 
 
 def test_compare_topologies_replans():

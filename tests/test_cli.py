@@ -8,6 +8,7 @@ from conftest import config_path
 from sparseagg.architecture import load_spec
 from sparseagg.cli import main
 from sparseagg.model import compile_network, save_checkpoint
+from sparseagg.tensor import load_array, save_array
 
 
 def run_json(out_dir):
@@ -135,6 +136,34 @@ def test_checkpoint_tensor_of_wrong_size_exits_1(tmp_path, resize):
     assert code == 1
     record = run_json(tmp_path / "hm")
     assert record["status"] == "error" and "stem.conv.bin" in record["error"]
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ("bn_states", "eps", -1e9), ("bn_states", "momentum", 5), ("bn_states", "steps", -3),
+    ("tensor", "stem.conv", float("nan")), ("tensor", "classifier.bn.running_var", -4.0),
+], ids=["negative-eps", "momentum-5", "negative-steps", "nan-weight", "negative-running-var"])
+def test_checkpoint_value_that_breaks_eval_exits_1(tmp_path, cifar_dir, where, key, value):
+    # Unchecked, the eps, weight and running_var damages make eval report loss
+    # nan with exit 0, and momentum 5 and steps -3 load silently.
+    ckpt = tmp_path / "checkpoint"
+    save_checkpoint(compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0),
+                    ckpt)
+    if where == "tensor":
+        arr = load_array(ckpt / key)
+        arr.flat[0] = value
+        save_array(arr, ckpt / key)
+    else:
+        path = ckpt / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for meta in manifest["bn_states"].values():
+            meta[key] = value
+        path.write_text(json.dumps(manifest))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", cifar_dir, "--subset", "10",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    record = run_json(tmp_path / "out")
+    assert record["status"] == "error" and "checkpoint" in record["error"]
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 def _break_manifest(manifest, damage):
@@ -294,6 +323,25 @@ def test_train_rejects_non_positive_setting(tmp_path, cifar_dir, flag, value, na
     record = run_json(tmp_path)
     assert record["status"] == "error"
     assert f"{name} must be a positive integer, got {value}" in record["error"]
+    assert not (tmp_path / "checkpoint").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.1"),
+    ("--weight-decay", "nan"), ("--weight-decay", "-1"),
+])
+def test_train_rejects_bad_learning_rate_or_weight_decay(tmp_path, cifar_dir, flag, value):
+    # Unchecked, NaN and inf diverge after one step (exit 2 with
+    # TrainingDivergedError) and the negative values train with the wrong
+    # sign (exit 0).
+    code = main(["train", "--spec", config_path("sparse_bc_tiny_cifar.json"),
+                 "--data", cifar_dir, "--epochs", "1", "--batch-size", "50",
+                 "--subset", "100", "--test-subset", "100", flag, value,
+                 "--out", str(tmp_path)])
+    assert code == 1
+    record = run_json(tmp_path)
+    assert record["status"] == "error" and "TrainConfigError" in record["error"]
+    assert "must be a finite number >= 0" in record["error"]
     assert not (tmp_path / "checkpoint").exists()
 
 

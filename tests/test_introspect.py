@@ -154,7 +154,7 @@ def test_csv_rejects_malformed_rows(tmp_path):
     bad.write_text("target,source_0,source_1\n1,0.5\n")
     with pytest.raises(DataFormatError):
         load_heatmap_csv(bad)
-    for cell in ("abc", "nan", "inf"):
+    for cell in ("abc", "nan", "inf", "2", "-3"):
         bad.write_text(f"target,source_0,source_1\n1,{cell},{ABSENT}\n")
         with pytest.raises(DataFormatError, match=cell):
             load_heatmap_csv(bad)

@@ -339,5 +339,5 @@ def test_imagenet_config_runs_forward_at_its_own_input_size(monkeypatch):
     with no_grad():
         logits = net.forward(x)
     assert shapes == [(1, op.out_channels, op.out_h, op.out_w) for op in planned]
-    assert logits.shape == (1, net.plan.classifier.out_channels) == (1, spec.num_classes)
+    assert logits.shape == (1, net.plan.blocks[-1].exit.out_channels) == (1, spec.num_classes)
     assert np.isfinite(logits.data).all()

@@ -173,7 +173,7 @@ def test_nesterov_first_step_oracle():
     lr, mu, wd = 0.1, 0.9, 1e-4
     p = Tensor(w0.copy(), requires_grad=True)
     p.grad = g.copy()
-    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=wd, nesterov=True)
+    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=wd)
     opt.step()
     expected = w0 - lr * (1 + mu) * (g + wd * w0)
     np.testing.assert_allclose(p.data, expected, rtol=1e-12)
@@ -184,7 +184,7 @@ def test_weight_decay_closed_form_with_zero_gradient():
     lr, mu, wd = 0.5, 0.9, 0.01
     p = Tensor(w0.copy(), requires_grad=True)
     p.grad = np.zeros_like(w0)
-    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=wd, nesterov=True)
+    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=wd)
     opt.step()
     np.testing.assert_allclose(p.data, w0 * (1.0 - lr * wd * (1.0 + mu)), rtol=1e-12)
 
@@ -194,7 +194,7 @@ def test_momentum_accumulates_over_steps():
     g = np.array([1.0])
     lr, mu = 0.1, 0.9
     p = Tensor(w0.copy(), requires_grad=True)
-    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=0.0, nesterov=True)
+    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=0.0)
     p.grad = g.copy()
     opt.step()
     w1 = w0 - lr * (1 + mu) * g
@@ -206,16 +206,18 @@ def test_momentum_accumulates_over_steps():
     np.testing.assert_allclose(p.data, w2, rtol=1e-12)
 
 
-def test_norm_and_bias_decay_can_be_disabled():
-    params = {
-        "block1.layer1.conv1": Tensor(np.ones(2), requires_grad=True),
-        "block1.layer1.bn1.gamma": Tensor(np.ones(2), requires_grad=True),
-        "classifier.fc.bias": Tensor(np.ones(2), requires_grad=True),
-    }
-    opt = SGD(params, lr=0.1, weight_decay=1e-2, decay_bn=False)
-    assert opt.decay["block1.layer1.conv1"] == 1e-2
-    assert opt.decay["block1.layer1.bn1.gamma"] == 0.0
-    assert opt.decay["classifier.fc.bias"] == 0.0
+def test_every_parameter_decays_alike():
+    # norm scales and shifts and biases decay like conv weights
+    w0 = np.array([2.0, -4.0])
+    lr, mu, wd = 0.5, 0.9, 0.01
+    names = ("block1.layer1.conv1", "block1.layer1.bn1.gamma", "block1.layer1.bn1.beta",
+             "classifier.fc.bias")
+    params = {name: Tensor(w0.copy(), requires_grad=True) for name in names}
+    for p in params.values():
+        p.grad = np.zeros_like(w0)
+    SGD(params, lr=lr, momentum=mu, weight_decay=wd).step()
+    for p in params.values():
+        np.testing.assert_allclose(p.data, w0 * (1.0 - lr * wd * (1.0 + mu)), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
