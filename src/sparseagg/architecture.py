@@ -141,8 +141,14 @@ class NetworkSpec:
         if not self.blocks:
             raise SpecFormatError("at least one block required")
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        if self.num_classes < 2:
+        if _positive(self.num_classes, "num_classes") < 2:
             raise SpecFormatError(f"num_classes must be >= 2, got {self.num_classes}")
+        for key in ("bottleneck", "allow_projection"):
+            if not isinstance(getattr(self, key), bool):
+                raise SpecFormatError(f"{key} must be a boolean, got {getattr(self, key)!r}")
+        if not isinstance(self.compression, (int, float)) or isinstance(self.compression, bool):
+            raise SpecFormatError(f"compression must be a number, got {self.compression!r}")
+        object.__setattr__(self, "compression", float(self.compression))
         if self.bottleneck and self.family != "concat":
             raise SpecFormatError("bottleneck units require the concat family")
         if not 0.0 < self.compression <= 1.0:
@@ -218,27 +224,20 @@ def spec_from_json_obj(obj: dict) -> NetworkSpec:
         blocks.append(BlockSpec(**raw))
     _take(obj["stem"], "stem", required=("out_channels", "kernel", "stride"))
     _take(obj["input"], "input", required=("height", "width", "channels"))
-    bottleneck = obj.get("bottleneck", False)
-    allow_projection = obj.get("allow_projection", True)
-    for key, value in (("bottleneck", bottleneck), ("allow_projection", allow_projection)):
-        if not isinstance(value, bool):
-            raise SpecFormatError(f"{key} must be a boolean")
     if obj.get("unit_order", "preact") != "preact":
         raise SpecFormatError(
             f"unit_order must be 'preact' (BN-ReLU-Conv units), got {obj['unit_order']!r}")
-    compression = obj.get("compression", 0.5 if bottleneck else 1.0)
-    if not isinstance(compression, (int, float)) or isinstance(compression, bool):
-        raise SpecFormatError("compression must be a number")
+    bottleneck = obj.get("bottleneck", False)
     return NetworkSpec(
         family=obj["family"],
         topology=topology,
         blocks=tuple(blocks),
         stem=StemSpec(**obj["stem"]),
-        num_classes=_positive(obj["num_classes"], "num_classes"),
+        num_classes=obj["num_classes"],
         input=InputSpec(**obj["input"]),
         bottleneck=bottleneck,
-        compression=float(compression),
-        allow_projection=allow_projection,
+        compression=obj.get("compression", 0.5 if bottleneck else 1.0),
+        allow_projection=obj.get("allow_projection", True),
     )
 
 

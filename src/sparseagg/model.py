@@ -61,15 +61,9 @@ class ForwardStats:
         self.peak_cached = max(self.peak_cached, block_peak)
 
 
-def _he_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int, dtype) -> np.ndarray:
-    fan_in = in_ch * k * k
-    std = np.sqrt(2.0 / fan_in)
-    return (rng.standard_normal((out_ch, in_ch, k, k)) * std).astype(dtype)
-
-
-def _he_linear(rng: np.random.Generator, in_f: int, out_f: int, dtype) -> np.ndarray:
-    std = np.sqrt(2.0 / in_f)
-    return (rng.standard_normal((in_f, out_f)) * std).astype(dtype)
+def _he(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
+    """He-normal draw: standard normals scaled by sqrt(2 / fan_in)."""
+    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
 
 class Network:
@@ -176,9 +170,9 @@ def compile_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Netwo
     for unit in (plan.stem, *layers, *(block.exit for block in plan.blocks)):
         for op in unit.ops:
             if isinstance(op, Conv):
-                params[op.name] = Tensor(
-                    _he_conv(rng, op.out_channels, op.in_channels, op.kernel, dtype),
-                    requires_grad=True)
+                shape = (op.out_channels, op.in_channels, op.kernel, op.kernel)
+                params[op.name] = Tensor(_he(rng, shape, op.in_channels * op.kernel ** 2, dtype),
+                                         requires_grad=True)
             elif isinstance(op, BnRelu):
                 params[f"{op.name}.gamma"] = Tensor(np.ones(op.channels, dtype=dtype),
                                                     requires_grad=True)
@@ -187,7 +181,8 @@ def compile_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Netwo
                 bn_states[op.name] = BatchNormState.create(op.channels, dtype=dtype)
             elif isinstance(op, Linear):
                 params[f"{op.name}.weight"] = Tensor(
-                    _he_linear(rng, op.in_features, op.out_features, dtype), requires_grad=True)
+                    _he(rng, (op.in_features, op.out_features), op.in_features, dtype),
+                    requires_grad=True)
                 params[f"{op.name}.bias"] = Tensor(np.zeros(op.out_features, dtype=dtype),
                                                    requires_grad=True)
     return Network(spec, plan, params, bn_states, seed, dtype)

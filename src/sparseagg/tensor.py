@@ -341,10 +341,8 @@ class BatchNormState:
     steps: int = 0
 
     @classmethod
-    def create(cls, channels: int, dtype=np.float32, eps: float = 1e-5,
-               momentum: float = 0.9) -> "BatchNormState":
-        return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype),
-                   eps=eps, momentum=momentum)
+    def create(cls, channels: int, dtype=np.float32) -> "BatchNormState":
+        return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
@@ -473,6 +471,17 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
+    """Max pooling with -inf padding.
+
+    A running max over the kernel**2 strided views of the padded input, in
+    (ky, kx) order, merged with arithmetic rather than masked copies (which
+    stall on data-dependent branches).  A later slot wins only when strictly
+    greater, so ties go to the first slot, and a NaN wins over any number,
+    so a window holding NaN gives its first NaN (as ``argmax`` would).
+    Backward puts each gradient in its winning slot's plane of a zero buffer
+    and adds the planes onto their views last to first, so every input
+    position sums its windows' gradients in the order ``np.add.at`` used.
+    """
     _check_float(x, "x", "max_pool2d")
     n, c, h, w = x.data.shape
     if padding > kernel // 2:
@@ -480,14 +489,42 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
         raise ValueError(f"max_pool2d padding {padding} exceeds half the kernel {kernel}")
     if h + 2 * padding < kernel or w + 2 * padding < kernel:
         raise ValueError("max_pool2d window larger than padded input")
-    out, arg = K.maxpool_forward(x.data, kernel, stride, padding)
+    oh, ow = (h + 2 * padding - kernel) // stride + 1, (w + 2 * padding - kernel) // stride + 1
+    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.data.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x.data
+    out = _slot_view(xp, 0, 0, stride, oh, ow).copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    step = np.empty_like(arg)
+    out_is_number = np.empty(out.shape, dtype=bool)
+    wins = np.empty(out.shape, dtype=bool)
+    for slot in range(1, kernel * kernel):
+        view = _slot_view(xp, *divmod(slot, kernel), stride, oh, ow)
+        np.equal(out, out, out=out_is_number)
+        np.less_equal(view, out, out=wins)
+        np.logical_not(wins, out=wins)   # view > out, or either is NaN
+        wins &= out_is_number
+        np.maximum(view, out, out=out)   # on a tie this keeps `out`, the earlier slot
+        np.subtract(slot, arg, out=step)
+        step *= wins
+        arg += step                      # arg = slot where the slot wins
+    arg = arg.astype(np.int64)
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(K.maxpool_backward(np.ascontiguousarray(g), arg,
-                                                 x.data.shape, kernel, stride, padding))
+            planes = np.zeros((kernel * kernel,) + g.shape, dtype=g.dtype)
+            np.put_along_axis(planes, arg[None], g[None], axis=0)
+            dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+            for slot in reversed(range(kernel * kernel)):
+                _slot_view(dxp, *divmod(slot, kernel), stride, oh, ow)[...] += planes[slot]
+            del planes  # before accumulate_grad copies dx: one k**2 buffer less at the peak
+            x.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w])
 
     return _result(out, (x,), backward, "max_pool2d")
+
+
+def _slot_view(xp: np.ndarray, ky: int, kx: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """The (N, C, oh, ow) strided view holding window slot (ky, kx) of every window."""
+    return xp[:, :, ky:ky + stride * (oh - 1) + 1:stride, kx:kx + stride * (ow - 1) + 1:stride]
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -504,27 +541,23 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _result(out, (x,), backward, "global_avg_pool")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map: x (N,F) @ w (F,O) + b (O,)."""
     _check_float(x, "x", "linear")
     _check_float(w, "w", "linear")
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: x {x.data.shape}, w {w.data.shape}")
-    out = x.data @ w.data
-    if b is not None:
-        out = out + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
+    out = x.data @ w.data + b.data
 
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g @ w.data.T)
         if w.requires_grad:
             w.accumulate_grad(x.data.T @ g)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0))
 
-    return _result(out, parents, backward, "linear")
+    return _result(out, (x, w, b), backward, "linear")
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -108,12 +108,16 @@ def load_cifar10(data_dir, train_subset: int | None = None,
     if test_subset is not None:
         test_images, test_labels = _stratified_head(test_images, test_labels, test_subset)
 
-    scaled = train_images.astype(np.float32) / 255.0
-    mean = scaled.mean(axis=(0, 2, 3))
-    std = scaled.std(axis=(0, 2, 3))
-    std = np.maximum(std, 1e-8)
+    # One float copy, fitted in place in the order numpy's own ``std`` uses,
+    # so the statistics keep the bits of ``scaled.mean`` and ``scaled.std``.
+    scaled = train_images.astype(np.float32)
+    scaled /= 255.0
+    mean = scaled.mean(axis=(0, 2, 3), keepdims=True)
+    scaled -= mean
+    scaled *= scaled
+    std = np.maximum(np.sqrt(scaled.mean(axis=(0, 2, 3))), 1e-8)
     return Cifar10(train_images, train_labels, test_images, test_labels,
-                   mean.astype(np.float32), std.astype(np.float32))
+                   mean.reshape(3), std)
 
 
 def normalize_images(images: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -175,10 +179,6 @@ class SGD:
         self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     def step(self) -> None:
         mu, wd = self.momentum, self.weight_decay
         for name, p in self.params.items():
@@ -205,7 +205,7 @@ def _require_rate(name: str, value) -> None:
 
 
 def _forward_loss(net: Network, x: np.ndarray, y: np.ndarray, training: bool):
-    logits = net.forward(Tensor(x), training=training)
+    logits = net.forward(x, training=training)
     loss = T.softmax_cross_entropy(logits, y)
     return logits, loss
 
@@ -264,7 +264,7 @@ def train_model(net: Network, data: Cifar10, cfg: TrainConfig,
                 raise TrainingDivergedError(
                     f"loss became non-finite at epoch {epoch}, step {step}"
                 )
-            opt.zero_grad()
+            net.zero_grad()
             loss.backward()
             for name, p in net.params.items():
                 if p.grad is not None and not np.isfinite(p.grad).all():

@@ -313,3 +313,21 @@ def test_boolean_fields_reject_other_types(tmp_path, key):
     path.write_text(json.dumps(obj))
     with pytest.raises(SpecFormatError, match=key):
         load_spec(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("num_classes", 10.5), ("num_classes", "10"), ("bottleneck", 1),
+    ("allow_projection", "no"), ("compression", "0.5"), ("compression", True),
+])
+def test_spec_built_in_python_checks_its_fields(key, value):
+    # the JSON reader used to hold these checks, so a spec built in code skipped them
+    spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    with pytest.raises(SpecFormatError, match=key):
+        dataclasses.replace(spec, **{key: value})
+
+
+def test_integer_compression_is_stored_as_float():
+    spec = load_spec(config_path("sum_plain_d12_cifar.json"))
+    same = dataclasses.replace(spec, compression=1)
+    assert type(same.compression) is float
+    assert spec_hash(same) == spec_hash(spec)

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from conftest import config_path
@@ -9,6 +10,7 @@ from sparseagg.architecture import load_spec
 from sparseagg.cli import main
 from sparseagg.model import compile_network, save_checkpoint
 from sparseagg.tensor import load_array, save_array
+from sparseagg.train import evaluate, load_cifar10
 
 
 def run_json(out_dir):
@@ -122,6 +124,21 @@ def test_cli_does_not_mutate_inputs(tmp_path, cifar_dir):
           "--out", str(tmp_path)])
     assert open(spec, "rb").read() == spec_before
     assert open(data_file, "rb").read() == data_before
+
+
+def test_eval_of_float64_checkpoint(tmp_path, cifar_dir):
+    # The batch used to reach the network as a float32 Tensor, which a
+    # float64 conv rejected: exit 2.
+    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0,
+                          dtype=np.float64)
+    save_checkpoint(net, tmp_path / "checkpoint")
+    code = main(["eval", "--checkpoint", str(tmp_path / "checkpoint"), "--data", cifar_dir,
+                 "--subset", "20", "--out", str(tmp_path / "out")])
+    assert code == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    data = load_cifar10(cifar_dir, test_subset=20)
+    loss, err = evaluate(net, data.test_images, data.test_labels, data.mean, data.std)
+    assert (metrics["test_loss"], metrics["test_err"]) == (loss, err)
 
 
 @pytest.mark.parametrize("resize", ["truncated", "oversized"])

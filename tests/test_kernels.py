@@ -136,27 +136,38 @@ def maxpool_ref(x, kernel, stride, padding):
     return out, arg
 
 
+def pool_and_route(x, kernel, stride, padding, g=None):
+    """max_pool2d's output and the input gradient it routes back (default: ones)."""
+    t = Tensor(x, requires_grad=True)
+    out = max_pool2d(t, kernel, stride, padding)
+    out.backward(np.ones(out.shape, dtype=x.dtype) if g is None else g)
+    return out.data, t.grad
+
+
 @pytest.mark.parametrize("n,c,h,w,kernel,stride,padding", POOL_CASES)
 def test_maxpool_forward_matches_reference(n, c, h, w, kernel, stride, padding):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((n, c, h, w))
-    out, arg = K.maxpool_forward(x, kernel, stride, padding)
+    g = rng.standard_normal((n, c, out_size(h + 2 * padding, kernel, stride),
+                             out_size(w + 2 * padding, kernel, stride)))
+    out, dx = pool_and_route(x, kernel, stride, padding, g)
     ref_out, ref_arg = maxpool_ref(x, kernel, stride, padding)
     np.testing.assert_array_equal(out, ref_out)
-    np.testing.assert_array_equal(arg, ref_arg)
+    np.testing.assert_array_equal(dx, maxpool_backward_former(g, ref_arg, x.shape,
+                                                              kernel, stride, padding))
 
 
 def test_maxpool_ties_pick_first_window_slot():
-    x = np.ones((1, 1, 4, 4))
-    _, arg = K.maxpool_forward(x, 2, 2, 0)
-    assert np.all(arg == 0)
+    _, dx = pool_and_route(np.ones((1, 1, 4, 4)), 2, 2, 0)
+    expected = np.zeros((4, 4))
+    expected[::2, ::2] = 1.0
+    np.testing.assert_array_equal(dx[0, 0], expected)
 
 
 def test_maxpool_backward_routes_to_argmax_only():
     x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-    out, arg = K.maxpool_forward(x, 2, 2, 0)
+    out, dx = pool_and_route(x, 2, 2, 0)
     np.testing.assert_array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-    dx = K.maxpool_backward(np.ones_like(out), arg, x.shape, 2, 2, 0)
     assert dx.sum() == 4.0
     assert dx[0, 0, 1, 1] == 1.0 and dx[0, 0, 3, 3] == 1.0
     assert dx[0, 0, 0, 0] == 0.0
@@ -194,23 +205,24 @@ def test_maxpool_matches_former_kernels_bit_for_bit(n, c, h, w, kernel, stride, 
     rng = np.random.default_rng(23)
     x = rng.choice(np.array([-2.0, -1.0, -0.0, 0.0, 1.0, -np.inf, np.nan]), (n, c, h, w),
                    p=[0.2, 0.2, 0.2, 0.2, 0.14, 0.03, 0.03]).astype(dtype)
-    out, arg = K.maxpool_forward(x, kernel, stride, padding)
     ref_out, ref_arg = maxpool_forward_former(x, kernel, stride, padding)
+    g = rng.standard_normal(ref_out.shape).astype(dtype)
+    out, dx = pool_and_route(x, kernel, stride, padding, g)
     assert out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
-    assert arg.dtype == np.int64 and np.array_equal(arg, ref_arg)
-    g = rng.standard_normal(out.shape).astype(dtype)
-    dx = K.maxpool_backward(g, arg, x.shape, kernel, stride, padding)
     ref_dx = maxpool_backward_former(g, ref_arg, x.shape, kernel, stride, padding)
-    assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(ref_dx).tobytes()
+    assert dx.tobytes() == np.ascontiguousarray(ref_dx).tobytes()
 
 
 def test_maxpool_window_with_nan_is_nan():
+    # A window holding NaN gives its first NaN, and its gradient goes there.
     x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-    x[0, 0, 1, 1] = x[0, 0, 3, 2] = np.nan
-    out, arg = K.maxpool_forward(x, 2, 2, 0)
-    assert np.isnan(out[0, 0, 0, 0]) and arg[0, 0, 0, 0] == 3
-    assert np.isnan(out[0, 0, 1, 1]) and arg[0, 0, 1, 1] == 2
+    x[0, 0, 0, 1] = x[0, 0, 1, 1] = x[0, 0, 3, 2] = np.nan
+    out, dx = pool_and_route(x, 2, 2, 0, np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32))
+    assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[0, 0, 1, 1])
     np.testing.assert_array_equal(out[0, 0, [0, 1], [1, 0]], [7.0, 13.0])
+    expected = np.zeros((4, 4), dtype=np.float32)
+    expected[0, 1], expected[1, 3], expected[3, 1], expected[3, 2] = 1.0, 2.0, 3.0, 4.0
+    np.testing.assert_array_equal(dx[0, 0], expected)
 
 
 def test_max_pool_rejects_padding_over_half_kernel():
@@ -229,7 +241,7 @@ def test_kernels_preserve_dtype():
     assert K.im2col(x32, 1).dtype == np.float32
     assert K.im2col(x64, 1).dtype == np.float64
     assert K.col2im(K.im2col(x32, 1), 1).dtype == np.float32
-    assert K.maxpool_forward(x32, 2, 2, 0)[0].dtype == np.float32
+    assert max_pool2d(Tensor(x32), 2, 2, 0).data.dtype == np.float32
 
 
 def test_active_backend_reports_dispatch():

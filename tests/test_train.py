@@ -1,5 +1,6 @@
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,13 +50,29 @@ class StubRng:
 
 
 def test_loader_full_shapes(cifar_dir):
-    data = load_cifar10(cifar_dir)
+    tracemalloc.start()
+    try:
+        data = load_cifar10(cifar_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the statistics are fitted in one float copy of the 50,000 images (614 MB)
+    assert peak < 1.1e9
     assert data.train_images.shape == (50000, 3, 32, 32)
     assert data.test_images.shape == (10000, 3, 32, 32)
     assert data.train_images.dtype == np.uint8
     assert data.train_labels.dtype == np.int64
     assert data.train_labels.min() >= 0 and data.train_labels.max() <= 9
     assert data.mean.shape == (3,) and data.std.shape == (3,)
+
+
+def test_statistics_keep_the_bits_of_mean_and_std(cifar_dir):
+    data = load_cifar10(cifar_dir, train_subset=2000)
+    scaled = data.train_images.astype(np.float32) / 255.0
+    mean = scaled.mean(axis=(0, 2, 3)).astype(np.float32)
+    std = np.maximum(scaled.std(axis=(0, 2, 3)), 1e-8).astype(np.float32)
+    assert data.mean.dtype == data.std.dtype == np.float32
+    assert data.mean.tobytes() == mean.tobytes() and data.std.tobytes() == std.tobytes()
 
 
 def test_stratified_subset_is_balanced(cifar_dir):
@@ -234,6 +251,15 @@ def test_zero_lr_freezes_parameters(small_data):
     # batch statistics are summed in shuffled row order, so the loss is
     # only reproducible up to float32 reduction noise
     assert history[0]["train_loss"] == pytest.approx(history[1]["train_loss"], rel=1e-5)
+
+
+def test_float64_network_trains_and_evaluates(small_data):
+    # the float32 batch used to reach the network as a Tensor, which a float64 conv rejected
+    net = compile_network(tiny_spec(), seed=1, dtype=np.float64)
+    cfg = TrainConfig(epochs=1, batch_size=250, seed=0, augment=False)
+    history = train_model(net, small_data, cfg)
+    assert np.isfinite(history[0]["train_loss"]) and np.isfinite(history[0]["test_loss"])
+    assert all(p.data.dtype == np.float64 for p in net.params.values())
 
 
 def test_histories_reproduce_with_fixed_seed(cifar_dir):
