@@ -23,7 +23,8 @@ from .errors import CheckpointError, ValidationError
 from .introspect import export_heatmap, weight_heatmap
 from .model import compile_network, load_checkpoint, save_checkpoint
 from .topology import build_graph, export_dot, export_json, format_topology, parse_topology
-from .train import TrainConfig, evaluate, load_cifar10, train_model, write_history_csv
+from .train import (TrainConfig, evaluate, load_cifar10, load_split, train_model,
+                    write_history_csv)
 
 __all__ = ["main"]
 
@@ -173,10 +174,15 @@ def _cmd_train(args, record) -> None:
 def _cmd_eval(args, record) -> None:
     net, manifest = load_checkpoint(args.checkpoint)
     record["spec_hash"] = manifest["spec_hash"]
-    data = load_cifar10(args.data, test_subset=args.subset)
-    mean, std = _normalization(manifest.get("extra", {}), data)
-    loss, err = evaluate(net, data.test_images, data.test_labels, mean, std, args.batch_size)
-    metrics = {"test_loss": loss, "test_err": err, "images": int(data.test_labels.shape[0])}
+    normalization = _normalization(manifest.get("extra", {}))
+    if normalization is None:
+        data = load_cifar10(args.data, test_subset=args.subset)
+        images, labels, mean, std = data.test_images, data.test_labels, data.mean, data.std
+    else:
+        images, labels = load_split(args.data, "test", args.subset)
+        mean, std = normalization
+    loss, err = evaluate(net, images, labels, mean, std, args.batch_size)
+    metrics = {"test_loss": loss, "test_err": err, "images": int(labels.shape[0])}
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -184,13 +190,13 @@ def _cmd_eval(args, record) -> None:
     print(f"test error {err:.4f}  loss {loss:.4f}  over {metrics['images']} images")
 
 
-def _normalization(extra, data) -> tuple[np.ndarray, np.ndarray]:
-    """The checkpoint's per-channel mean and std, else those fitted on ``data``."""
+def _normalization(extra) -> tuple[np.ndarray, np.ndarray] | None:
+    """The checkpoint's per-channel mean and std, or None when it carries none."""
     if not isinstance(extra, dict):
         raise CheckpointError(f"checkpoint manifest field 'extra' must be a JSON object, "
                               f"got {extra!r}")
     if "mean" not in extra or "std" not in extra:
-        return data.mean, data.std
+        return None
     limit = float(np.finfo(np.float32).max)
     for key in ("mean", "std"):
         value = extra[key]

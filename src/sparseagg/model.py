@@ -3,12 +3,17 @@
 ``compile_network`` materializes the parameters of every op in the plan's
 units -- convolutions, batch norms, the classifier's linear layer -- as
 float tensors with seeded He initialization.  ``Network.forward`` runs the
-stem's op list on the input, then for each block aggregates every layer's
+stem's op list on the input, then for each block gathers every layer's
 predecessors and runs its op list, keeping a per-block cache of layer
 outputs that is evicted as soon as the last consumer has read each entry
 (so sparse topologies genuinely hold fewer live activations than dense
 ones), and finally runs the block's exit unit (transition or classifier)
-on the block's closing aggregation.
+on the block's closing predecessors.
+
+Sum and average units run on ``T.aggregate``'s output.  A concat unit
+builds no concatenation: its first op, a ``BnRelu``, takes the list of
+predecessor outputs and reads each one in place (Pleiss et al., arXiv
+1707.06990), so the graph keeps only the layer outputs themselves.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class Network:
 
     # -- forward ------------------------------------------------------------
 
-    def _op(self, op: Op, x: Tensor, training: bool) -> Tensor:
+    def _op(self, op: Op, x: Tensor | list[Tensor], training: bool) -> Tensor:
         # Ops are looked up on the tensor module at call time, so that a
         # profiler can wrap them; each takes its parameter positionally.
         if isinstance(op, Conv):
@@ -105,19 +110,27 @@ class Network:
             return T.avg_pool2d(x, op.stride)
         return T.global_avg_pool(x)
 
-    def _unit(self, unit: Unit, x: Tensor, training: bool) -> Tensor:
+    def _unit(self, unit: Unit, x: Tensor | list[Tensor], training: bool) -> Tensor:
         for op in unit.ops:
             x = self._op(op, x, training)
         return x
 
-    def _gather(self, cache: dict[int, Tensor], remaining: Counter, unit: Unit) -> Tensor:
-        """Aggregate ``unit``'s predecessors, evicting each after its last read."""
-        agg = T.aggregate(self.spec.family, [cache[p] for p in unit.predecessors])
+    def _gather(self, cache: dict[int, Tensor], remaining: Counter,
+                unit: Unit) -> Tensor | list[Tensor]:
+        """``unit``'s input, evicting each predecessor after its last read.
+
+        A concat unit gets its predecessors' outputs as a list: its first op,
+        a ``BnRelu``, reads them as their channel concatenation without one
+        being built.  Sum and average units get the aggregate.
+        """
+        inputs = [cache[p] for p in unit.predecessors]
         for p in unit.predecessors:
             remaining[p] -= 1
             if remaining[p] == 0:
                 del cache[p]
-        return agg
+        if self.spec.family == "concat":
+            return inputs
+        return T.aggregate(self.spec.family, inputs)
 
     def forward(self, x, training: bool = False, stats: ForwardStats | None = None) -> Tensor:
         """Run the network; returns logits (N, num_classes)."""
@@ -137,8 +150,9 @@ class Network:
             cache: dict[int, Tensor] = {0: out}
             peak = 1
             for li, unit in enumerate(block.layers, start=1):
-                # No local holds the aggregate, so without a graph it is
-                # freed as soon as the unit has run.
+                # No local holds the unit's input, so without a graph a sum
+                # is freed as soon as the unit has run; a concat unit's
+                # BnRelu reads the cached predecessors in place.
                 cache[li] = self._unit(unit, self._gather(cache, remaining, unit), training)
                 peak = max(peak, len(cache))
             if stats is not None:

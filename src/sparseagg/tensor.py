@@ -13,10 +13,12 @@ batch-norm buffer, so only the post-ReLU output is kept, not the pre-ReLU
 one as well.  Conv keeps ``x`` and ``w`` and rebuilds its operand in
 backward (see ``conv2d``).  Average pooling adds and fills strided views
 and keeps only its input.  Batch norm rebuilds ``xhat`` from its input,
-mean and inverse std.  The graph already holds every op's input and
-output, so what a training step keeps alive between forward and backward
-is the activations themselves.  The only derived arrays kept are
-output-sized ones: max-pool argmax indices and softmax probabilities.
+mean and inverse std; given a concat unit's predecessors as a list, its
+inputs are those predecessors, so no concatenation is built or kept.
+The graph already holds every op's input and output, so what a training
+step keeps alive between forward and backward is the activations
+themselves.  The only derived arrays kept are output-sized ones: max-pool
+argmax indices and softmax probabilities.
 
 Gradient ownership: each backward closure owns the gradient it is handed
 and may overwrite it.  ``accumulate_grad`` takes ownership of what it is
@@ -345,9 +347,15 @@ class BatchNormState:
         return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: BatchNormState,
                training: bool, relu: bool = False) -> Tensor:
     """Per-channel batch norm over an NCHW tensor, optionally followed by ReLU.
+
+    ``x`` is one tensor or a sequence of NCHW tensors standing for their
+    channel concatenation, in order (a concat unit's predecessors).  The
+    parts are read in place: no concatenation is built, and backward hands
+    each part a gradient of its own.  The bits are those of batch norm over
+    ``aggregate("concat", x)``.
 
     Training mode normalizes by batch statistics (biased variance) and
     updates ``state``; eval mode uses the running statistics.
@@ -357,66 +365,102 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     batch-norm buffer, so only the post-ReLU output is kept, and backward
     masks ``g`` with ``out > 0`` before the batch-norm backward.
     """
-    _check_float(x, "x", "batch_norm")
-    if x.data.ndim != 4:
-        raise ValueError("batch_norm expects an NCHW tensor")
-    c = x.data.shape[1]
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not parts:
+        raise ValueError("batch_norm needs at least one input tensor")
+    for p in parts:
+        _check_float(p, "x", "batch_norm")
+        if p.data.ndim != 4:
+            raise ValueError("batch_norm expects NCHW tensors")
+    n, _, h, w = parts[0].data.shape
+    dtype = parts[0].data.dtype
+    for p in parts[1:]:
+        if p.data.shape[0] != n or p.data.shape[2:] != (h, w) or p.data.dtype != dtype:
+            raise ValueError("batch_norm inputs must agree on dtype and all dims except channels")
+    bounds = np.cumsum([0] + [p.data.shape[1] for p in parts]).tolist()
+    c = bounds[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(f"batch_norm parameter shape mismatch for {c} channels")
     g4 = gamma.data.reshape(1, c, 1, 1)
     b4 = beta.data.reshape(1, c, 1, 1)
-    xd = x.data
-    count = xd.shape[0] * xd.shape[2] * xd.shape[3]
+    count = n * h * w
+    spans = list(zip(parts, bounds[:-1], bounds[1:]))
 
     if training:
-        mu = xd.mean(axis=(0, 2, 3))
-        out = xd - mu.reshape(1, c, 1, 1)
+        mu = _channel_means(parts)
+    else:
+        if state.steps == 0 and _DEBUG:
+            warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
+                          RuntimeWarning, stacklevel=2)
+        mu = state.running_mean
+    # Each part's centred values go straight into its channels of the buffer.
+    out = np.empty((n, c, h, w), dtype=np.result_type(dtype, mu.dtype))
+    for p, lo, hi in spans:
+        np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=out[:, lo:hi])
+    if training:
         var = np.einsum("nchw,nchw->c", out, out) / count
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.running_var.dtype)
         state.steps += 1
     else:
-        if state.steps == 0 and _DEBUG:
-            warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
-                          RuntimeWarning, stacklevel=2)
-        mu, var = state.running_mean, state.running_var
-        out = xd - mu.reshape(1, c, 1, 1)
+        var = state.running_var
     inv4 = (1.0 / np.sqrt(var + state.eps)).reshape(1, c, 1, 1)
     # The centred buffer becomes xhat, then gamma * xhat + beta, in place.
     out *= inv4
     out *= g4
     out += b4
-    out = out.astype(xd.dtype, copy=False)
+    out = out.astype(dtype, copy=False)
     if relu:
         np.maximum(out, 0, out=out)  # propagates NaN, as relu() does
 
     def backward(g):
         if relu:
             np.multiply(g, out > 0, out=g)
-        xhat = xd - mu.reshape(1, c, 1, 1)
-        xhat *= inv4
         sum_g = np.einsum("nchw->c", g)
-        sum_gx = np.einsum("nchw,nchw->c", g, xhat)
+        sum_gx = np.empty_like(sum_g)
+        scale = g4 * inv4
+        # Per part, in the channel order: rebuild xhat from the part, then
+        # build the part's dx in xhat's buffer and hand it over.
+        for p, lo, hi in spans:
+            gp = g[:, lo:hi]
+            xhat = p.data - mu[lo:hi].reshape(1, -1, 1, 1)
+            xhat *= inv4[:, lo:hi]
+            sum_gx[lo:hi] = np.einsum("nchw,nchw->c", gp, xhat)
+            if not p.requires_grad:
+                continue
+            if not training:
+                p.accumulate_grad(gp * scale[:, lo:hi])
+                continue
+            # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat))
+            dx = xhat
+            dx *= (-sum_gx[lo:hi] / count).reshape(1, -1, 1, 1)
+            dx += gp
+            dx -= (sum_g[lo:hi] / count).reshape(1, -1, 1, 1)
+            dx *= scale[:, lo:hi]
+            p.accumulate_grad(dx)
         if beta.requires_grad:
             beta.accumulate_grad(sum_g)
         if gamma.requires_grad:
             gamma.accumulate_grad(sum_gx)
-        if not x.requires_grad:
-            return
-        if not training:
-            g *= g4 * inv4
-            x.accumulate_grad(g)
-            return
-        # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat)), built in xhat's buffer
-        dx = xhat
-        dx *= (-sum_gx / count).reshape(1, c, 1, 1)
-        dx += g
-        dx -= (sum_g / count).reshape(1, c, 1, 1)
-        dx *= g4 * inv4
-        x.accumulate_grad(dx)
 
-    return _result(out, (x, gamma, beta), backward, "batch_norm")
+    return _result(out, (*parts, gamma, beta), backward, "batch_norm")
+
+
+def _channel_means(parts: tuple[Tensor, ...]) -> np.ndarray:
+    """Per-channel batch means of the parts' channel concatenation.
+
+    The bits are those of the concatenation's ``mean(axis=(0, 2, 3))``.
+    numpy sums each image's H*W plane pairwise and adds the images in turn,
+    but merges the planes of a one-channel array into one pairwise run, so
+    each part's sums are spelt out in the order of a wider array.
+    """
+    if len(parts) == 1:
+        return parts[0].data.mean(axis=(0, 2, 3))
+    n, _, h, w = parts[0].data.shape
+    sums = np.concatenate([np.add.accumulate(p.data.sum(axis=(2, 3)), axis=0)[-1] for p in parts])
+    # as ``mean`` does: divide by an intp count, in float64 for a float32 sum
+    return np.true_divide(sums, np.intp(n * h * w), out=sums, casting="unsafe")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ __all__ = [
     "TrainConfig",
     "SGD",
     "load_cifar10",
+    "load_split",
     "normalize_images",
     "augment_batch",
     "lr_for_epoch",
@@ -47,6 +48,7 @@ class Cifar10:
 
 
 def _read_batch_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A file's images, as a view of its bytes, and its labels."""
     try:
         size = os.path.getsize(path)
     except OSError:
@@ -62,51 +64,55 @@ def _read_batch_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     labels = records[:, 0].astype(np.int64)
     if labels.max() >= NUM_CLASSES:
         raise DataFormatError(f"{path} contains label {labels.max()} outside [0, {NUM_CLASSES})")
-    images = records[:, 1:].reshape(RECORDS_PER_FILE, 3, 32, 32)
-    return np.ascontiguousarray(images), labels
+    return records[:, 1:].reshape(RECORDS_PER_FILE, 3, 32, 32), labels
 
 
-def _stratified_head(images: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First count/10 occurrences of each class, in file order."""
-    per_class = count // NUM_CLASSES
-    picked: list[int] = []
-    seen = [0] * NUM_CLASSES
-    for idx, lab in enumerate(labels):
-        if seen[lab] < per_class:
-            seen[lab] += 1
-            picked.append(idx)
-            if len(picked) == count:
-                break
-    if len(picked) < count:
+def load_split(data_dir, split: str, subset: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Images (uint8 NCHW) and labels of the ``"train"`` or ``"test"`` split.
+
+    A subset holds the first subset/10 images of each class in file order,
+    so repeated calls are deterministic.  Each file is read and checked, and
+    its picks are taken before the files are joined, so a subset load never
+    holds the whole split.  A subset size that is not a positive multiple of
+    10, or more images of a class than the split holds, raises
+    DataFormatError.
+    """
+    if subset is not None and (subset <= 0 or subset % NUM_CLASSES):
+        raise DataFormatError(f"{split} subset size must be a positive multiple of "
+                              f"{NUM_CLASSES}, got {subset}")
+    names = {"train": TRAIN_FILES, "test": (TEST_FILE,)}[split]
+    per_class = None if subset is None else subset // NUM_CLASSES
+    seen = np.zeros(NUM_CLASSES, dtype=np.int64)
+    images, labels = [], []
+    for name in names:
+        file_images, file_labels = _read_batch_file(os.path.join(data_dir, name))
+        if per_class is not None:
+            # the first images of each class that the earlier files left short
+            keep = np.zeros(len(file_labels), dtype=bool)
+            for k in range(NUM_CLASSES):
+                picked = np.flatnonzero(file_labels == k)[:per_class - seen[k]]
+                keep[picked] = True
+                seen[k] += len(picked)
+            file_images, file_labels = file_images[keep], file_labels[keep]
+        images.append(file_images)
+        labels.append(file_labels)
+    if per_class is not None and seen.sum() < subset:
         raise DataFormatError(
-            f"requested {per_class} images per class but the data ran out after {len(picked)}"
+            f"requested {per_class} images per class but the data ran out after {seen.sum()}"
         )
-    sel = np.asarray(picked)
-    return images[sel], labels[sel]
+    return np.concatenate(images), np.concatenate(labels)
 
 
 def load_cifar10(data_dir, train_subset: int | None = None,
                  test_subset: int | None = None) -> Cifar10:
     """Read the binary CIFAR-10 layout (5 train files + 1 test file).
 
-    Subset sizes select the first n/10 images of each class in file order,
-    so repeated calls are deterministic.  Channel mean/std are fitted on
-    the (possibly subset) train images in [0, 1] scale.  A subset size that
-    is not a positive multiple of 10 raises DataFormatError.
+    Both splits are read by ``load_split``, subsets included.  Channel
+    mean/std are fitted on the (possibly subset) train images in [0, 1]
+    scale.
     """
-    for name, count in (("train", train_subset), ("test", test_subset)):
-        if count is not None and (count <= 0 or count % NUM_CLASSES):
-            raise DataFormatError(f"{name} subset size must be a positive multiple of "
-                                  f"{NUM_CLASSES}, got {count}")
-    train_parts = [_read_batch_file(os.path.join(data_dir, name)) for name in TRAIN_FILES]
-    train_images = np.concatenate([p[0] for p in train_parts])
-    train_labels = np.concatenate([p[1] for p in train_parts])
-    test_images, test_labels = _read_batch_file(os.path.join(data_dir, TEST_FILE))
-
-    if train_subset is not None:
-        train_images, train_labels = _stratified_head(train_images, train_labels, train_subset)
-    if test_subset is not None:
-        test_images, test_labels = _stratified_head(test_images, test_labels, test_subset)
+    train_images, train_labels = load_split(data_dir, "train", train_subset)
+    test_images, test_labels = load_split(data_dir, "test", test_subset)
 
     # One float copy, fitted in place in the order numpy's own ``std`` uses,
     # so the statistics keep the bits of ``scaled.mean`` and ``scaled.std``.

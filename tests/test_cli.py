@@ -141,6 +141,29 @@ def test_eval_of_float64_checkpoint(tmp_path, cifar_dir):
     assert (metrics["test_loss"], metrics["test_err"]) == (loss, err)
 
 
+def test_eval_with_stored_normalization_reads_only_the_test_file(tmp_path, cifar_dir):
+    # eval used to load and fit the whole train split, then drop its
+    # statistics for the checkpoint's, so it failed without the train files
+    test_only = tmp_path / "test_only"
+    test_only.mkdir()
+    shutil.copy(f"{cifar_dir}/test_batch.bin", test_only / "test_batch.bin")
+    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0)
+    save_checkpoint(net, tmp_path / "stored", extra={"mean": [0.5] * 3, "std": [0.25] * 3})
+    save_checkpoint(net, tmp_path / "fitted")
+    metrics = []
+    for data in (cifar_dir, test_only):
+        out = tmp_path / f"out{len(metrics)}"
+        code = main(["eval", "--checkpoint", str(tmp_path / "stored"), "--data", str(data),
+                     "--subset", "20", "--out", str(out)])
+        assert code == 0
+        metrics.append(json.loads((out / "metrics.json").read_text()))
+    assert metrics[0] == metrics[1] and metrics[0]["images"] == 20
+    code = main(["eval", "--checkpoint", str(tmp_path / "fitted"), "--data", str(test_only),
+                 "--subset", "20", "--out", str(tmp_path / "no_norm")])
+    assert code == 1
+    assert "data_batch_1.bin" in run_json(tmp_path / "no_norm")["error"]
+
+
 @pytest.mark.parametrize("resize", ["truncated", "oversized"])
 def test_checkpoint_tensor_of_wrong_size_exits_1(tmp_path, resize):
     spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))

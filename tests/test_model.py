@@ -12,7 +12,7 @@ from sparseagg.architecture import Conv, analyze, load_spec
 from sparseagg.errors import CheckpointError
 from sparseagg.model import ForwardStats, compile_network, load_checkpoint, save_checkpoint
 from sparseagg.tensor import conv2d, no_grad, save_array, softmax_cross_entropy
-from sparseagg.topology import Sparse
+from sparseagg.topology import Dense, Sparse
 from sparseagg.train import SGD
 
 CONFIGS_WITH_TOTALS = [
@@ -193,6 +193,51 @@ def test_training_step_peak_stays_under_bound():
     finally:
         tracemalloc.stop()
     assert peak < 50_000_000, peak
+
+
+def test_dense_wired_training_step_peak_stays_under_bound():
+    # sparse_bc_tiny rewired dense, batch 16: 58.35 MB while every concat
+    # unit built its concatenation and kept it for backward, 44.21 MB with
+    # its BnRelu reading the predecessors in place.
+    spec = dataclasses.replace(load_spec(config_path("sparse_bc_tiny_cifar.json")),
+                               topology=Dense())
+    net = compile_network(spec, seed=0)
+    sgd = SGD(net.params, lr=0.1)
+    rng = np.random.default_rng(1)
+    x = batch(rng, 16)
+    labels = rng.integers(0, 10, size=16)
+    tracemalloc.start()
+    try:
+        loss = softmax_cross_entropy(net.forward(x, training=True), labels)
+        loss.backward()
+        sgd.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48_000_000, peak
+
+
+@pytest.mark.parametrize("name", ["sparse_bc_tiny_cifar.json", "sum_plain_d12_cifar.json"])
+def test_only_sum_and_average_units_call_aggregate(monkeypatch, name):
+    spec = load_spec(config_path(name))
+    calls = []
+    aggregate = tensor_module.aggregate
+
+    def probe(op, tensors):
+        if spec.family == "concat":
+            raise AssertionError("a concat unit built its concatenation")
+        calls.append(op)
+        return aggregate(op, tensors)
+
+    monkeypatch.setattr(tensor_module, "aggregate", probe)
+    net = compile_network(spec, seed=0)
+    rng = np.random.default_rng(4)
+    x = batch(rng, 2)
+    softmax_cross_entropy(net.forward(x, training=True), np.array([3, 5])).backward()
+    net.predict(x)
+    assert all(p.grad is not None for p in net.params.values())
+    if spec.family != "concat":
+        assert calls and set(calls) == {spec.family}
 
 
 def graph_tensors(root):

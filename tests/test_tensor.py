@@ -933,6 +933,54 @@ def test_fused_bn_relu_matches_relu_of_batch_norm_bit_for_bit(case, seed):
 
 
 # ---------------------------------------------------------------------------
+# batch norm over a list of parts against batch norm over their concat
+
+# The first part has one channel: numpy sums the planes of a one-channel
+# array in another order than those of a wider one.
+PART_CHANNELS = ((0, 1), (1, 4), (4, 6))
+
+
+def run_bn_of_parts(x, gamma, beta, g, state, training, relu_on, listed):
+    parts = [Tensor(x[:, lo:hi].copy(), requires_grad=True) for lo, hi in PART_CHANNELS]
+    gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (gamma, beta))
+    if listed:
+        out = batch_norm(parts, gt, bt, state, training, relu=relu_on)
+        assert out._parents == (*parts, gt, bt)
+    else:
+        out = batch_norm(aggregate("concat", parts), gt, bt, state, training, relu=relu_on)
+    out.backward(g)
+    if listed:  # each part's gradient was built for it, not sliced from a shared one
+        assert all(p.grad.base is None for p in parts)
+    return [out.data, *(p.grad for p in parts), gt.grad, bt.grad, state.running_mean,
+            state.running_var]
+
+
+@pytest.mark.parametrize("relu_on", [True, False])
+@pytest.mark.parametrize("case", ["train", "eval", "eval_float64_stats", "nan",
+                                  "constant_channel"])
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_norm_of_parts_matches_batch_norm_of_concat_bit_for_bit(case, relu_on, seed):
+    x, gamma, beta, g, make_state = bn_relu_inputs(case, seed)
+    training = not case.startswith("eval")
+    listed = run_bn_of_parts(x, gamma, beta, g, make_state(), training, relu_on, listed=True)
+    concat = run_bn_of_parts(x, gamma, beta, g, make_state(), training, relu_on, listed=False)
+    for got, ref in zip(listed, concat):
+        assert same_bits(got, ref)
+
+
+def test_batch_norm_rejects_parts_that_cannot_be_joined():
+    gamma, beta = t64(np.ones(4)), t64(np.zeros(4))
+    state = BatchNormState.create(4, dtype=np.float64)
+    a = t64(np.zeros((2, 2, 3, 3)))
+    for b in (t64(np.zeros((2, 2, 3, 4))), t64(np.zeros((1, 2, 3, 3))),
+              Tensor(np.zeros((2, 2, 3, 3), np.float32))):
+        with pytest.raises(ValueError, match="agree"):
+            batch_norm([a, b], gamma, beta, state, training=True)
+    with pytest.raises(ValueError, match="mismatch for 6 channels"):
+        batch_norm([a, a, a], gamma, beta, state, training=True)
+
+
+# ---------------------------------------------------------------------------
 # finite-difference checks, 20 seeds per op
 
 
@@ -1014,6 +1062,21 @@ def test_fd_fused_bn_relu(training, seed):
     report = check_gradients(
         lambda a, g, b: weighted_sum(batch_norm(a, g, b, state, training, relu=True), proj),
         [x, gamma, beta], tolerance=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fd_batch_norm_of_parts(training, seed):
+    rng = np.random.default_rng(280 + seed)
+    parts = [rand64(rng, (2, hi - lo, 4, 4)) for lo, hi in PART_CHANNELS]
+    gamma = t64(rng.uniform(0.5, 1.5, 6))
+    beta = rand64(rng, (6,))
+    proj = rng.standard_normal((2, 6, 4, 4))
+    state = BatchNormState(rng.standard_normal(6), rng.uniform(0.5, 2.0, 6), steps=1)
+    report = check_gradients(
+        lambda a, b, c, g, bb: weighted_sum(batch_norm([a, b, c], g, bb, state, training), proj),
+        [*parts, gamma, beta], tolerance=1e-6)
     assert report.passed, report.max_rel_error
 
 
