@@ -28,12 +28,11 @@ densely-concatenated CIFAR/ImageNet reference models exactly):
 * A transition between blocks takes the aggregation evaluated at the
   virtual index one past the block's last layer (under the block's own
   topology rule), applies BN-ReLU-Conv1x1 to ``floor(compression *
-  channels)``, then average-pools.  The classifier applies BN-ReLU, global
+  channels)``, then average-pools by 2.  The classifier applies BN-ReLU, global
   average pooling, and a fully-connected layer to the same closing
   aggregation of the last block.
-* Sum/average families keep one width per block; the transition's 1x1
-  convolution doubles as the projection when the width changes
-  (``allow_projection=False`` turns that into a plan error).
+* The sum family keeps one width per block; the transition's 1x1
+  convolution doubles as the projection when the width changes.
 * FLOPs are counted as 2 x multiply-accumulates, convolution and
   fully-connected layers only.
 """
@@ -71,7 +70,12 @@ __all__ = [
     "spec_hash",
 ]
 
-FAMILIES = ("sum", "concat", "average")
+FAMILIES = ("sum", "concat")
+# Keys that specs write at one value only, so that spec hashes hold (units are
+# pre-activation, a sum-family transition projects when the width changes, every
+# transition pools by 2); a reader takes them absent or at exactly that value.
+_FIXED = {"unit_order": "preact", "allow_projection": True}
+_FIXED_BLOCK = {"spatial_stride_out": 2}
 
 
 def _positive(value, name):
@@ -110,17 +114,15 @@ class BlockSpec:
     num_layers: int
     growth_rate: int | None = None
     width: int | None = None
-    spatial_stride_out: int = 2
 
     def __post_init__(self):
         _positive(self.num_layers, "block.num_layers")
-        _positive(self.spatial_stride_out, "block.spatial_stride_out")
         if self.growth_rate is not None:
             _positive(self.growth_rate, "block.growth_rate")
         if self.width is not None:
             _positive(self.width, "block.width")
         if (self.growth_rate is None) == (self.width is None):
-            raise SpecFormatError("block needs exactly one of growth_rate (concat) or width (sum/average)")
+            raise SpecFormatError("block needs exactly one of growth_rate (concat) or width (sum)")
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,6 @@ class NetworkSpec:
     input: InputSpec
     bottleneck: bool = False
     compression: float = 1.0
-    allow_projection: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -143,9 +144,8 @@ class NetworkSpec:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if _positive(self.num_classes, "num_classes") < 2:
             raise SpecFormatError(f"num_classes must be >= 2, got {self.num_classes}")
-        for key in ("bottleneck", "allow_projection"):
-            if not isinstance(getattr(self, key), bool):
-                raise SpecFormatError(f"{key} must be a boolean, got {getattr(self, key)!r}")
+        if not isinstance(self.bottleneck, bool):
+            raise SpecFormatError(f"bottleneck must be a boolean, got {self.bottleneck!r}")
         if not isinstance(self.compression, (int, float)) or isinstance(self.compression, bool):
             raise SpecFormatError(f"compression must be a number, got {self.compression!r}")
         object.__setattr__(self, "compression", float(self.compression))
@@ -158,13 +158,13 @@ class NetworkSpec:
         for block in self.blocks:
             if self.family == "concat" and block.growth_rate is None:
                 raise SpecFormatError("concat-family blocks must set growth_rate")
-            if self.family in ("sum", "average") and block.width is None:
-                raise SpecFormatError(f"{self.family}-family blocks must set width")
+            if self.family == "sum" and block.width is None:
+                raise SpecFormatError("sum-family blocks must set width")
 
     def to_json_obj(self) -> dict:
         blocks = []
         for b in self.blocks:
-            entry = {"num_layers": b.num_layers, "spatial_stride_out": b.spatial_stride_out}
+            entry = {"num_layers": b.num_layers, **_FIXED_BLOCK}
             if b.growth_rate is not None:
                 entry["growth_rate"] = b.growth_rate
             else:
@@ -179,10 +179,7 @@ class NetworkSpec:
             "input": dataclasses.asdict(self.input),
             "bottleneck": self.bottleneck,
             "compression": self.compression,
-            # Units are always pre-activation; the key stays so that spec
-            # hashes and checkpoints written with it keep validating.
-            "unit_order": "preact",
-            "allow_projection": self.allow_projection,
+            **_FIXED,
         }
 
     def to_json(self) -> str:
@@ -194,15 +191,21 @@ def spec_hash(spec: NetworkSpec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _take(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+def _take(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = (),
+          fixed: dict | None = None):
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where} must be an object, got {type(obj).__name__}")
+    fixed = fixed or {}
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in required and key not in optional and key not in fixed:
             raise SpecFormatError(f"unknown field {key!r} in {where}")
     for key in required:
         if key not in obj:
             raise SpecFormatError(f"missing field {key!r} in {where}")
+    for key, value in fixed.items():
+        if key in obj and (type(obj[key]) is not type(value) or obj[key] != value):
+            raise SpecFormatError(f"{key} in {where} must be {json.dumps(value)}, "
+                                  f"got {json.dumps(obj[key])}")
 
 
 def spec_from_json_obj(obj: dict) -> NetworkSpec:
@@ -210,7 +213,8 @@ def spec_from_json_obj(obj: dict) -> NetworkSpec:
         obj,
         "spec",
         required=("family", "topology", "blocks", "stem", "num_classes", "input"),
-        optional=("bottleneck", "compression", "unit_order", "allow_projection"),
+        optional=("bottleneck", "compression"),
+        fixed=_FIXED,
     )
     if not isinstance(obj["topology"], str):
         raise SpecFormatError("topology must be a string like 'sparse:2'")
@@ -219,14 +223,11 @@ def spec_from_json_obj(obj: dict) -> NetworkSpec:
         raise SpecFormatError("blocks must be a non-empty list")
     blocks = []
     for i, raw in enumerate(obj["blocks"]):
-        _take(raw, f"blocks[{i}]", required=("num_layers",),
-              optional=("growth_rate", "width", "spatial_stride_out"))
-        blocks.append(BlockSpec(**raw))
+        _take(raw, f"blocks[{i}]", required=("num_layers",), optional=("growth_rate", "width"),
+              fixed=_FIXED_BLOCK)
+        blocks.append(BlockSpec(raw["num_layers"], raw.get("growth_rate"), raw.get("width")))
     _take(obj["stem"], "stem", required=("out_channels", "kernel", "stride"))
     _take(obj["input"], "input", required=("height", "width", "channels"))
-    if obj.get("unit_order", "preact") != "preact":
-        raise SpecFormatError(
-            f"unit_order must be 'preact' (BN-ReLU-Conv units), got {obj['unit_order']!r}")
     bottleneck = obj.get("bottleneck", False)
     return NetworkSpec(
         family=obj["family"],
@@ -237,7 +238,6 @@ def spec_from_json_obj(obj: dict) -> NetworkSpec:
         input=InputSpec(**obj["input"]),
         bottleneck=bottleneck,
         compression=obj.get("compression", 0.5 if bottleneck else 1.0),
-        allow_projection=obj.get("allow_projection", True),
     )
 
 
@@ -305,7 +305,8 @@ class Unit:
 
     ``slices`` holds one ``(pred, lo, hi)`` per predecessor, in aggregation
     order: the channels of the aggregated input that predecessor fills
-    (consecutive for concat, ``(pred, 0, width)`` for sum and average).
+    (consecutive for concat, ``(pred, 0, width)`` for sum).  The executor
+    hands a sum unit with one predecessor that predecessor's output as is.
     """
 
     row: str     # CostReport row: "stem", "<block>.<layer>", "transition<block>", "classifier"
@@ -387,15 +388,13 @@ def plan_network(spec: NetworkSpec) -> NetworkPlan:
         ops += [BnRelu("stem.bn", block_in), Pool("max", 3, 2, 1)]
         h, w = _conv_out(h, 3, 2, 1), _conv_out(w, 3, 2, 1)
     stem = Unit("stem", 0, ((0, 0, spec.input.channels),), block_in, tuple(ops))
+    if spec.family == "sum" and block_in != spec.blocks[0].width:
+        # later blocks are fed by a transition, which projects to their width
+        raise PlanError(f"block 1 expects width {spec.blocks[0].width} but the stem gives "
+                        f"{block_in}; match the widths")
 
     blocks: list[BlockPlan] = []
     for bi, bspec in enumerate(spec.blocks, start=1):
-        if spec.family in ("sum", "average") and block_in != bspec.width:
-            # widths changed without a projection in front of this block
-            raise PlanError(
-                f"block {bi} expects width {bspec.width} but receives {block_in}; "
-                "enable allow_projection or match the widths"
-            )
         width = bspec.growth_rate if spec.family == "concat" else bspec.width
         widths = {0: block_in}
         layers = []
@@ -423,29 +422,23 @@ def plan_network(spec: NetworkSpec) -> NetworkPlan:
             classifier = Unit("classifier", bi, slices, spec.num_classes, tuple(ops))
             blocks.append(BlockPlan(bi, tuple(layers), classifier))
             break
+        prefix = f"transition{bi}"
         if spec.family == "concat":
             out_ch = int(spec.compression * close_ch)
+            if out_ch == 0:
+                raise PlanError(f"{prefix} compresses {close_ch} channels to 0; raise compression")
         else:
             out_ch = spec.blocks[bi].width
-        prefix = f"transition{bi}"
         ops = [BnRelu(f"{prefix}.bn", close_ch)]
         if spec.family == "concat" or out_ch != close_ch:
-            if spec.family in ("sum", "average") and not spec.allow_projection:
-                raise PlanError(
-                    f"width changes from {close_ch} to {out_ch} after block {bi} "
-                    "but allow_projection is off"
-                )
             ops.append(Conv(f"{prefix}.conv", close_ch, out_ch, 1, 1, 0, h, w))
-        stride = bspec.spatial_stride_out
-        if h % stride or w % stride:
-            raise PlanError(
-                f"{prefix} average-pools by {stride}, but block {bi} is {h}x{w}; "
-                "choose an input size that every pooling stride divides"
-            )
-        ops.append(Pool("avg", stride, stride))
+        if h % 2 or w % 2:
+            raise PlanError(f"{prefix} average-pools by 2, but block {bi} is {h}x{w}; "
+                            "choose an input size that every pooling stride divides")
+        ops.append(Pool("avg", 2, 2))
         blocks.append(BlockPlan(bi, tuple(layers), Unit(prefix, bi, slices, out_ch, tuple(ops))))
         block_in = out_ch
-        h, w = h // stride, w // stride
+        h, w = h // 2, w // 2
 
     return NetworkPlan(spec, stem, tuple(blocks))
 

@@ -10,10 +10,10 @@ outputs that is evicted as soon as the last consumer has read each entry
 ones), and finally runs the block's exit unit (transition or classifier)
 on the block's closing predecessors.
 
-Sum and average units run on ``T.aggregate``'s output.  A concat unit
-builds no concatenation: its first op, a ``BnRelu``, takes the list of
-predecessor outputs and reads each one in place (Pleiss et al., arXiv
-1707.06990), so the graph keeps only the layer outputs themselves.
+A sum unit runs on ``T.aggregate``'s output, or reads a lone predecessor's
+output directly.  A concat unit builds no concatenation: its first op, a
+``BnRelu``, takes the list of predecessor outputs and reads each one in place
+(Pleiss et al., arXiv 1707.06990), so the graph keeps only the layer outputs.
 """
 
 from __future__ import annotations
@@ -119,18 +119,19 @@ class Network:
                 unit: Unit) -> Tensor | list[Tensor]:
         """``unit``'s input, evicting each predecessor after its last read.
 
-        A concat unit gets its predecessors' outputs as a list: its first op,
-        a ``BnRelu``, reads them as their channel concatenation without one
-        being built.  Sum and average units get the aggregate.
+        A concat unit, and a sum unit with a lone predecessor, gets the
+        predecessors' outputs as a list: its first op, a ``BnRelu``, reads
+        them as their channel concatenation without one being built.  Other
+        sum units get the sum.
         """
         inputs = [cache[p] for p in unit.predecessors]
         for p in unit.predecessors:
             remaining[p] -= 1
             if remaining[p] == 0:
                 del cache[p]
-        if self.spec.family == "concat":
+        if self.spec.family == "concat" or len(inputs) == 1:
             return inputs
-        return T.aggregate(self.spec.family, inputs)
+        return T.aggregate("sum", inputs)
 
     def forward(self, x, training: bool = False, stats: ForwardStats | None = None) -> Tensor:
         """Run the network; returns logits (N, num_classes)."""

@@ -33,6 +33,8 @@ FILE_BYTES = RECORD_BYTES * RECORDS_PER_FILE
 TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 TEST_FILE = "test_batch.bin"
 NUM_CLASSES = 10
+LR_DROPS = (0.5, 0.75)  # fractions of the epochs after which the rate is divided by 10
+MOMENTUM = 0.9
 
 
 @dataclass
@@ -155,16 +157,14 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 64
     base_lr: float = 0.1
-    lr_drops: tuple[float, ...] = (0.5, 0.75)
-    momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 0
     augment: bool = True
 
 
 def lr_for_epoch(cfg: TrainConfig, epoch: int) -> float:
-    """Step schedule: divide by 10 after each drop fraction of total epochs."""
-    drops = sum(1 for frac in cfg.lr_drops if epoch > int(frac * cfg.epochs))
+    """Step schedule: divide by 10 after each ``LR_DROPS`` fraction of total epochs."""
+    drops = sum(1 for frac in LR_DROPS if epoch > int(frac * cfg.epochs))
     return cfg.base_lr * (0.1 ** drops)
 
 
@@ -177,7 +177,7 @@ class SGD:
     alike, batch-norm scales and shifts and biases included.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9,
+    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = MOMENTUM,
                  weight_decay: float = 1e-4):
         self.params = params
         self.lr = lr
@@ -249,7 +249,7 @@ def train_model(net: Network, data: Cifar10, cfg: TrainConfig,
     _require_rate("learning rate", cfg.base_lr)
     _require_rate("weight decay", cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    opt = SGD(net.params, lr=cfg.base_lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    opt = SGD(net.params, lr=cfg.base_lr, weight_decay=cfg.weight_decay)
     n = data.train_images.shape[0]
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):

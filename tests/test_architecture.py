@@ -253,11 +253,14 @@ def test_fractal_is_not_plannable():
         plan_network(cifar_spec(Fractal(2), n=4))
 
 
-def test_sum_width_change_needs_projection():
-    spec = dataclasses.replace(load_spec(config_path("sum_plain_d12_cifar.json")),
-                               allow_projection=False)
-    with pytest.raises(PlanError):
-        plan_network(spec)
+def test_sum_width_change_needs_projection(tmp_path):
+    # a sum-family transition always projects when the width changes
+    obj = json.loads(load_spec(config_path("sum_plain_d12_cifar.json")).to_json())
+    obj["allow_projection"] = False
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SpecFormatError, match="allow_projection"):
+        load_spec(path)
 
 
 def test_transition_pool_must_divide_its_input():
@@ -266,6 +269,13 @@ def test_transition_pool_must_divide_its_input():
         odd = dataclasses.replace(spec, input=InputSpec(size, size, 3))
         with pytest.raises(PlanError, match="transition"):
             analyze(odd)
+
+
+def test_transition_of_zero_width_is_a_plan_error():
+    spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    with pytest.raises(PlanError, match="transition1"):
+        analyze(dataclasses.replace(spec, compression=1e-9))
+    assert analyze(dataclasses.replace(spec, compression=0.05)).rows  # 24 channels to 1
 
 
 # A spec's hash keys the checkpoints written for it, so these must not move.
@@ -317,7 +327,7 @@ def test_boolean_fields_reject_other_types(tmp_path, key):
 
 @pytest.mark.parametrize("key,value", [
     ("num_classes", 10.5), ("num_classes", "10"), ("bottleneck", 1),
-    ("allow_projection", "no"), ("compression", "0.5"), ("compression", True),
+    ("compression", "0.5"), ("compression", True),
 ])
 def test_spec_built_in_python_checks_its_fields(key, value):
     # the JSON reader used to hold these checks, so a spec built in code skipped them

@@ -303,6 +303,37 @@ def test_analyze_of_unpoolable_input_exits_1(tmp_path):
     assert record["status"] == "error" and "transition2" in record["error"]
 
 
+@pytest.mark.parametrize("key,value", [
+    ("allow_projection", False), ("allow_projection", 1), ("spatial_stride_out", 1),
+    ("spatial_stride_out", 4), ("spatial_stride_out", 2.0), ("unit_order", "postact"),
+    ("family", "average"),
+])
+def test_analyze_of_retired_option_exits_1(tmp_path, key, value):
+    # every spec carries these keys at one value; "average" is no family
+    obj = json.loads(load_spec(config_path("sum_plain_d12_cifar.json")).to_json())
+    (obj["blocks"][0] if key == "spatial_stride_out" else obj)[key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path)]) == 1
+    record = run_json(tmp_path)
+    assert record["status"] == "error" and key in record["error"]
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["train", "--epochs", "1", "--subset", "100"]],
+                         ids=lambda command: command[0])
+def test_zero_width_transition_exits_1(tmp_path, cifar_dir, command):
+    # analyze used to exit 0 and price a 0-channel transition, and train
+    # exited 2 on a ZeroDivisionError in the weight initializer
+    obj = json.loads(load_spec(config_path("sparse_bc_tiny_cifar.json")).to_json())
+    obj["compression"] = 1e-9  # of any transition's input channels rounds down to 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    data = ["--data", cifar_dir] if command[0] == "train" else []
+    assert main([*command, "--spec", str(spec), *data, "--out", str(tmp_path)]) == 1
+    record = run_json(tmp_path)
+    assert record["status"] == "error" and "transition1" in record["error"]
+
+
 def test_unknown_flag_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["graph", "--topology", "dense", "--layers", "4",
