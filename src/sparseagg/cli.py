@@ -153,8 +153,8 @@ def _cmd_analyze(args, record) -> None:
 def _cmd_train(args, record) -> None:
     spec = load_spec(args.spec)
     record["spec_hash"] = spec_hash(spec)
+    net = compile_network(spec, seed=args.seed)  # before the data: a plan error needs none
     data = load_cifar10(args.data, train_subset=args.subset, test_subset=args.test_subset)
-    net = compile_network(spec, seed=args.seed)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
                       weight_decay=args.weight_decay, seed=args.seed,
                       augment=not args.no_augment)

@@ -13,7 +13,13 @@ on the block's closing predecessors.
 A sum unit runs on ``T.aggregate``'s output, or reads a lone predecessor's
 output directly.  A concat unit builds no concatenation: its first op, a
 ``BnRelu``, takes the list of predecessor outputs and reads each one in place
-(Pleiss et al., arXiv 1707.06990), so the graph keeps only the layer outputs.
+(Pleiss et al., arXiv 1707.06990).  Each ``BnRelu`` output that a ``Conv``
+reads (both pairs of a bottleneck layer, and each transition) is released
+once the conv has run and rebuilt when the conv's backward reads it, so
+between forward and backward the graph keeps the layer outputs and
+per-channel statistics, not the ``BnRelu`` outputs (Chen et al., arXiv
+1604.06174).  The classifier's and an ImageNet stem's ``BnRelu`` feed a
+pool and are kept.
 """
 
 from __future__ import annotations
@@ -112,7 +118,10 @@ class Network:
 
     def _unit(self, unit: Unit, x: Tensor | list[Tensor], training: bool) -> Tensor:
         for op in unit.ops:
-            x = self._op(op, x, training)
+            y = self._op(op, x, training)
+            if isinstance(op, Conv):
+                T._release(x)  # a BnRelu output: the conv's backward rebuilds it
+            x = y
         return x
 
     def _gather(self, cache: dict[int, Tensor], remaining: Counter,

@@ -9,16 +9,22 @@ Retention rule: a backward closure keeps the op's inputs, its own output
 (relu, and batch norm with ``relu=True``, which masks ``g`` with it) and
 per-channel statistics, never a derived full-size buffer.  A planned
 ``BnRelu`` is that one batch-norm node: the ReLU runs in place on the
-batch-norm buffer, so only the post-ReLU output is kept, not the pre-ReLU
-one as well.  Conv keeps ``x`` and ``w`` and rebuilds its operand in
-backward (see ``conv2d``).  Average pooling adds and fills strided views
-and keeps only its input.  Batch norm rebuilds ``xhat`` from its input,
-mean and inverse std; given a concat unit's predecessors as a list, its
-inputs are those predecessors, so no concatenation is built or kept.
-The graph already holds every op's input and output, so what a training
-step keeps alive between forward and backward is the activations
-themselves.  The only derived arrays kept are output-sized ones: max-pool
-argmax indices and softmax probabilities.
+batch-norm buffer, so no pre-ReLU output is kept.  Conv keeps ``x`` and
+``w`` and rebuilds its operand in backward (see ``conv2d``).  Average
+pooling adds and fills strided views and keeps only its input.  Batch
+norm rebuilds ``xhat`` from its input, mean and inverse std; given a
+concat unit's predecessors as a list, its inputs are those predecessors,
+so no concatenation is built or kept.
+
+A recorded batch-norm output can also be rebuilt whole, bit for bit, from
+its inputs and statistics.  ``_release`` drops such an array, and the
+next backward step that reads it through ``_data`` rebuilds it; batch
+norm's backward then takes each part's ``xhat`` from that rebuild.  The
+executor releases every ``BnRelu`` output once the conv that reads it has
+run, so what a training step keeps alive between forward and backward is
+the layer outputs plus per-channel statistics.  The only derived arrays
+kept are output-sized ones: max-pool argmax indices and softmax
+probabilities.
 
 Gradient ownership: each backward closure owns the gradient it is handed
 and may overwrite it.  ``accumulate_grad`` takes ownership of what it is
@@ -88,7 +94,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -99,6 +105,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._rebuild: _Rebuildable | None = None
 
     @property
     def shape(self):
@@ -166,7 +173,7 @@ class Tensor:
             if free_graph:
                 g, node.grad = node.grad, None
                 node._backward(g)
-                node._backward = None
+                node._backward = node._rebuild = None
                 node._parents = ()
             else:
                 node._backward(node.grad.copy())
@@ -194,6 +201,38 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) ->
 def _check_float(t: Tensor, name: str, op: str) -> None:
     if not isinstance(t, Tensor):
         raise TypeError(f"{op}: {name} must be a Tensor, got {type(t).__name__}")
+
+
+class _Rebuildable:
+    """A recorded op's output that ``_release`` may drop and ``_data`` rebuilds.
+
+    Shared by the output Tensor (its ``_rebuild`` slot) and the op's backward
+    closure, which reads ``out`` and ``kept`` from here: a closure that held
+    the output Tensor would make a reference cycle.  ``make()`` returns the
+    output again, bit for bit, plus what backward may reuse (``kept``).
+    """
+
+    __slots__ = ("out", "kept", "make")
+
+    def __init__(self, out: np.ndarray, make):
+        self.out = out
+        self.kept = None
+        self.make = make
+
+
+def _release(t: Tensor) -> None:
+    """Drop ``t``'s array until backward reads it; a no-op unless ``t`` is rebuildable."""
+    if t._rebuild is not None:
+        t.data = t._rebuild.out = None
+
+
+def _data(t: Tensor) -> np.ndarray:
+    """``t.data``, rebuilt first if ``_release`` dropped it."""
+    if t.data is None:
+        saved = t._rebuild
+        saved.out, saved.kept = saved.make()
+        t.data = saved.out
+    return t.data
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +267,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     Both directions use one chunk width per call, ``_chunk_columns``: a tap
     stack no larger than the operand, 1024 to 4096 columns wide.  Backward
     rebuilds the operand (1.1-1.6x the input) rather than keeping it, and
-    frees the tap stack before returning.
+    frees the tap stack before returning.  It reads ``x``'s array when it
+    runs, through ``_data``, so ``x`` may have been released after forward.
     """
     _check_float(x, "x", "conv2d")
     _check_float(w, "w", "conv2d")
@@ -245,8 +285,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError(f"conv2d kernel {kh}x{kw} is larger than the padded input {hp}x{wp}")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    xd = x.data
-    dtype = xd.dtype
+    dtype = x.data.dtype
     # Every window origin that reaches the output lies below `span` on the
     # flat grid, so tap t reads operand[:, offsets[t]:offsets[t] + span].
     span = n * hp * wp - (kh - 1) * wp - (kw - 1)
@@ -254,7 +293,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     corner = (slice(None), slice(None), slice(0, stride * oh, stride), slice(0, stride * ow, stride))
 
     # Grid columns from `span` on are never written and never read.
-    operand = K.im2col(xd, padding).reshape(c, -1)
+    operand = K.im2col(x.data, padding).reshape(c, -1)
     rows = len(offsets) * o
     chunk = _chunk_columns(operand.size, rows)
     grid = np.empty((o, n * hp * wp), dtype=dtype)
@@ -281,6 +320,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         # The gradient grid sits after `lead` zero columns and ends in zeros, so
         # G[(t, o), q] = g_grid[o, q - offsets[t]] is a plain slice for every
         # operand column q; each chunk stacks its kh*kw slices and runs two GEMMs.
+        # x's array is read now, not in forward: _release may have dropped it.
+        # It is rebuilt even when only x needs a gradient, since
+        # accumulate_grad reads its shape and dtype.
+        xd = _data(x)
         width, lead = n * hp * wp, offsets[-1]
         covered = (oh, ow) == (hp, wp)  # 1x1, unpadded: no margin to zero
         g_pad = (np.empty if covered else np.zeros)((o, lead + width), dtype=dtype)
@@ -362,8 +405,15 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
 
     ``relu=True`` makes the pair one node with the bits of
     ``relu(batch_norm(...))``: forward applies the ReLU in place on the
-    batch-norm buffer, so only the post-ReLU output is kept, and backward
-    masks ``g`` with ``out > 0`` before the batch-norm backward.
+    batch-norm buffer, so no pre-ReLU output is kept, and backward masks
+    ``g`` with ``out > 0`` before the batch-norm backward.
+
+    When a graph is recorded the output can be released (``_release``) and
+    is then rebuilt when backward first reads it: per part, subtract the
+    mean, ``*= inv``, ``*= gamma``, then ``+= beta``, cast and ReLU, the
+    forward's op sequence, so the bits are the forward's.  The rebuild
+    keeps each part's ``xhat``, and backward builds that part's ``dx`` in
+    it instead of computing ``xhat`` again.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if not parts:
@@ -414,18 +464,43 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     if relu:
         np.maximum(out, 0, out=out)  # propagates NaN, as relu() does
 
-    def backward(g):
+    def xhat_of(p, lo, hi):
+        xhat = p.data - mu[lo:hi].reshape(1, -1, 1, 1)
+        xhat *= inv4[:, lo:hi]
+        return xhat
+
+    def rebuild():
+        # The forward's op sequence per element, so the bits are the same;
+        # each part's xhat is kept for backward.
+        again = np.empty((n, c, h, w), dtype=np.result_type(dtype, mu.dtype))
+        xhats = []
+        for p, lo, hi in spans:
+            xhats.append(xhat_of(p, lo, hi))
+            np.multiply(xhats[-1], g4[:, lo:hi], out=again[:, lo:hi])
+        again += b4
+        again = again.astype(dtype, copy=False)
         if relu:
-            np.multiply(g, out > 0, out=g)
+            np.maximum(again, 0, out=again)
+        return again, xhats
+
+    saved = _Rebuildable(out, rebuild)
+
+    def backward(g):
+        xhats, saved.kept = saved.kept, None  # a rebuild's, used once
+        if relu:
+            np.multiply(g, saved.out > 0, out=g)
         sum_g = np.einsum("nchw->c", g)
         sum_gx = np.empty_like(sum_g)
         scale = g4 * inv4
-        # Per part, in the channel order: rebuild xhat from the part, then
-        # build the part's dx in xhat's buffer and hand it over.
-        for p, lo, hi in spans:
+        # Per part, in the channel order: take xhat from the rebuild or
+        # rebuild it from the part, then build the part's dx in xhat's
+        # buffer and hand it over.
+        for i, (p, lo, hi) in enumerate(spans):
             gp = g[:, lo:hi]
-            xhat = p.data - mu[lo:hi].reshape(1, -1, 1, 1)
-            xhat *= inv4[:, lo:hi]
+            if xhats is None:
+                xhat = xhat_of(p, lo, hi)
+            else:
+                xhat, xhats[i] = xhats[i], None
             sum_gx[lo:hi] = np.einsum("nchw,nchw->c", gp, xhat)
             if not p.requires_grad:
                 continue
@@ -444,7 +519,10 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
         if gamma.requires_grad:
             gamma.accumulate_grad(sum_gx)
 
-    return _result(out, (*parts, gamma, beta), backward, "batch_norm")
+    result = _result(out, (*parts, gamma, beta), backward, "batch_norm")
+    if result.requires_grad:
+        result._rebuild = saved
+    return result
 
 
 def _channel_means(parts: tuple[Tensor, ...]) -> np.ndarray:

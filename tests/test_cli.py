@@ -334,6 +334,20 @@ def test_zero_width_transition_exits_1(tmp_path, cifar_dir, command):
     assert record["status"] == "error" and "transition1" in record["error"]
 
 
+def test_train_plans_the_spec_before_reading_data(tmp_path):
+    # an unplannable spec needs no data to be rejected: the missing --data
+    # directory is never opened
+    obj = json.loads(load_spec(config_path("sparse_bc_tiny_cifar.json")).to_json())
+    obj["compression"] = 1e-9
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    code = main(["train", "--spec", str(spec), "--data", str(tmp_path / "no-such-dir"),
+                 "--epochs", "1", "--out", str(tmp_path)])
+    assert code == 1
+    record = run_json(tmp_path)
+    assert record["error"].startswith("PlanError") and "transition1" in record["error"]
+
+
 def test_unknown_flag_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["graph", "--topology", "dense", "--layers", "4",

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import os
 import tracemalloc
@@ -176,64 +177,79 @@ def test_each_bn_relu_runs_as_one_node(monkeypatch):
         net.forward(x, training=False)
 
 
-def test_training_step_peak_stays_under_bound():
-    # sparse_bc_tiny at batch 16: 66.97 MB when BnRelu ran as two nodes and
-    # every first gradient was copied, 46.65 MB with one node and handover.
-    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0)
+def training_step_peak(spec, n=16) -> int:
+    """tracemalloc peak of one seeded training step (forward, backward, SGD) at batch ``n``."""
+    net = compile_network(spec, seed=0)
     sgd = SGD(net.params, lr=0.1)
     rng = np.random.default_rng(1)
-    x = batch(rng, 16)
-    labels = rng.integers(0, 10, size=16)
+    x = batch(rng, n)
+    labels = rng.integers(0, 10, size=n)
     tracemalloc.start()
     try:
         loss = softmax_cross_entropy(net.forward(x, training=True), labels)
         loss.backward()
         sgd.step()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_training_step_peak_stays_under_bound():
+    # sparse_bc_tiny at batch 16: 66.97 MB when BnRelu ran as two nodes and
+    # every first gradient was copied, 46.65 MB with one node and handover,
+    # 25.37 MB with each conv's BnRelu input rebuilt in backward.
+    peak = training_step_peak(load_spec(config_path("sparse_bc_tiny_cifar.json")))
     assert peak < 50_000_000, peak
+
+
+def dense_wired_tiny():
+    return dataclasses.replace(load_spec(config_path("sparse_bc_tiny_cifar.json")),
+                               topology=Dense())
 
 
 def test_dense_wired_training_step_peak_stays_under_bound():
     # sparse_bc_tiny rewired dense, batch 16: 58.35 MB while every concat
     # unit built its concatenation and kept it for backward, 44.21 MB with
     # its BnRelu reading the predecessors in place.
-    spec = dataclasses.replace(load_spec(config_path("sparse_bc_tiny_cifar.json")),
-                               topology=Dense())
-    net = compile_network(spec, seed=0)
-    sgd = SGD(net.params, lr=0.1)
-    rng = np.random.default_rng(1)
-    x = batch(rng, 16)
-    labels = rng.integers(0, 10, size=16)
-    tracemalloc.start()
-    try:
-        loss = softmax_cross_entropy(net.forward(x, training=True), labels)
-        loss.backward()
-        sgd.step()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = training_step_peak(dense_wired_tiny())
     assert peak < 48_000_000, peak
+
+
+def test_dense_wired_training_step_keeps_no_conv_input():
+    # 44.21 MB while every BnRelu output was kept until backward, 29.44 MB
+    # with each conv's BnRelu input released after the conv and rebuilt
+    # when the conv's backward reads it.
+    peak = training_step_peak(dense_wired_tiny())
+    assert peak < 32_000_000, peak
 
 
 def test_sum_plain_training_step_peak_stays_under_bound():
     # sum_plain_d12 at batch 16: 34.54 MB while every unit copied its lone
-    # predecessor into a sum node, 25.62 MB reading it directly.
-    net = compile_network(load_spec(config_path("sum_plain_d12_cifar.json")), seed=0)
-    sgd = SGD(net.params, lr=0.1)
-    rng = np.random.default_rng(1)
-    x = batch(rng, 16)
-    labels = rng.integers(0, 10, size=16)
+    # predecessor into a sum node, 25.62 MB reading it directly, 17.23 MB
+    # with each conv's BnRelu input rebuilt in backward.
+    peak = training_step_peak(load_spec(config_path("sum_plain_d12_cifar.json")))
+    assert peak < 28_000_000, peak
+
+
+def test_dropped_training_forward_leaves_no_reference_cycle():
+    # With gc off, a cycle through a node's closure keeps the whole graph:
+    # 16.2 MB when batch norm's closure read its output through the output
+    # Tensor.  The first forward runs traced, so that the running statistics
+    # the second one replaces were allocated under tracemalloc too.
+    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0)
+    x = batch(np.random.default_rng(1), 16)
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
-        loss = softmax_cross_entropy(net.forward(x, training=True), labels)
-        loss.backward()
-        sgd.step()
-        peak = tracemalloc.get_traced_memory()[1]
+        net.forward(x, training=True)
+        baseline = tracemalloc.get_traced_memory()[0]
+        net.forward(x, training=True)
+        left = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
-    assert peak < 28_000_000, peak
+        gc.enable()
+    assert left < 64 * 1024, left
 
 
 @pytest.mark.parametrize("name", ["sparse_bc_tiny_cifar.json", "sum_plain_d12_cifar.json"])

@@ -3,7 +3,7 @@
 perfbench replaces package functions by name (``T.conv2d``, ``K.im2col``,
 ``train._forward_loss``, ...), so a rename or a deleted call path in the
 package would silently empty its trace.  This test runs the tracer on one
-training step and check that it still sees the work.
+training step and checks that it still sees the work.
 """
 
 import importlib
@@ -37,3 +37,10 @@ def test_tracer_records_every_op_of_a_training_step_under_its_row(monkeypatch):
     # every record carries a CostReport row, and every row has a record
     assert {rec.row for rec in tracer.records} == {row.layer for row in analyze(spec).rows}
     assert tracer.totals["kernels.im2col_s"] > 0
+    # Trace 1's own output checks, held here too: a change that hid T.conv2d
+    # from the tracer, or ran batch norm's backward where it is not timed,
+    # would fail this test and not only a traced benchmark run.
+    conv_flops = sum(row.flops for row in analyze(spec).rows if row.layer != "classifier")
+    assert sum(rec.flops for rec in tracer.records) == conv_flops * 2 == 67_436_544
+    bn = [rec for rec in tracer.records if rec.op == "batch_norm"]
+    assert len(bn) == 27 and all(rec.bwd_s > 0 for rec in bn)

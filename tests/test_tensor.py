@@ -981,6 +981,88 @@ def test_batch_norm_rejects_parts_that_cannot_be_joined():
 
 
 # ---------------------------------------------------------------------------
+# a conv's BnRelu input, released after the conv and rebuilt in its backward
+
+PAIR_PARTS = {"one": ((0, 6),), "many": PART_CHANNELS}
+PAIR_CONVS = [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)]
+GRAD_FLAGS = [(parts, w, gamma) for parts in (True, False) for w in (True, False)
+              for gamma in (True, False)]
+
+
+def same_or_none(a, b):
+    return (a is None and b is None) or (a is not None and b is not None and same_bits(a, b))
+
+
+def bn_relu_conv(case, seed, parts_of, conv, flags, released):
+    """The graph of conv2d(batch_norm(parts, ..., relu=True), w), its leaves and a seed gradient.
+
+    With ``released`` the BnRelu output's array is dropped after the conv,
+    as ``Network`` does, and the conv's backward rebuilds it.
+    """
+    x, gamma, beta, _, make_state = bn_relu_inputs(case, seed)
+    k, stride, padding = conv
+    rng = np.random.default_rng(1300 + seed)
+    w = (rng.standard_normal((5, 6, k, k)) * 0.3).astype(np.float32)
+    parts = [Tensor(x[:, lo:hi].copy(), requires_grad=flags[0]) for lo, hi in parts_of]
+    wt = Tensor(w, requires_grad=flags[1])
+    gt = Tensor(gamma.copy(), requires_grad=flags[2])
+    bt = Tensor(beta.copy(), requires_grad=True)
+    state = make_state()
+    y = batch_norm(parts, gt, bt, state, not case.startswith("eval"), relu=True)
+    out = conv2d(y, wt, stride, padding)
+    if released:
+        tensor_module._release(y)
+        assert y.data is None
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    return (*parts, wt, gt, bt), state, y, out, g
+
+
+def run_bn_relu_conv(*args, **kwargs):
+    """Outputs, gradients and statistics after one backward sweep of ``bn_relu_conv``."""
+    leaves, state, y, out, g = bn_relu_conv(*args, **kwargs)
+    out.backward(g)
+    return [out.data, y.data, *(t.grad for t in leaves), state.running_mean, state.running_var]
+
+
+@pytest.mark.parametrize("flags", GRAD_FLAGS, ids=lambda f: "parts{}-w{}-gamma{}".format(*map(int, f)))
+@pytest.mark.parametrize("conv", PAIR_CONVS, ids=lambda c: "k{}s{}".format(*c))
+@pytest.mark.parametrize("parts_of", sorted(PAIR_PARTS))
+@pytest.mark.parametrize("case", ["train", "eval"])
+def test_released_bn_relu_conv_matches_kept_bit_for_bit(case, parts_of, conv, flags):
+    kept = run_bn_relu_conv(case, 0, PAIR_PARTS[parts_of], conv, flags, released=False)
+    released = run_bn_relu_conv(case, 0, PAIR_PARTS[parts_of], conv, flags, released=True)
+    for got, ref in zip(released, kept):
+        assert same_or_none(got, ref)
+
+
+@pytest.mark.parametrize("case", ["train", "eval"])
+def test_released_pair_backward_twice_without_free_graph_matches_one_sweep(case):
+    # The first sweep uses the rebuild's xhat as each part's dx buffer; the
+    # second finds x rebuilt already and recomputes xhat from the parts.
+    pair = (case, 1, PART_CHANNELS, (3, 1, 1), (True,) * 3)
+    ref = run_bn_relu_conv(*pair, released=True)[:-2]
+    leaves, _, y, out, g = bn_relu_conv(*pair, released=True)
+    for _ in range(2):
+        for t in (*leaves, y, out):
+            t.zero_grad()
+        out.backward(g, free_graph=False)
+        got = [out.data, y.data, *(t.grad for t in leaves)]
+        assert all(same_bits(a, b) for a, b in zip(got, ref))
+
+
+def test_release_is_a_no_op_without_a_graph():
+    x, gamma, beta, _, make_state = bn_relu_inputs("train", 2)
+    xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    with no_grad():
+        y = batch_norm(xt, gt, bt, make_state(), True, relu=True)
+    tensor_module._release(y)
+    assert y.data is not None
+    stem_input = Tensor(x)
+    tensor_module._release(stem_input)  # not an op output: nothing to rebuild it from
+    assert stem_input.data is x
+
+
+# ---------------------------------------------------------------------------
 # finite-difference checks, 20 seeds per op
 
 
@@ -1077,6 +1159,25 @@ def test_fd_batch_norm_of_parts(training, seed):
     report = check_gradients(
         lambda a, b, c, g, bb: weighted_sum(batch_norm([a, b, c], g, bb, state, training), proj),
         [*parts, gamma, beta], tolerance=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("seed", range(10))
+def test_fd_released_bn_relu_conv(training, seed):
+    rng = np.random.default_rng(330 + seed)
+    x, gamma, beta, state = bn_relu_away_from_kink(rng, training)
+    parts = [t64(x.data[:, :1].copy()), t64(x.data[:, 1:].copy())]  # one channel, and two
+    w = rand64(rng, (2, 3, 3, 3))
+    proj = rng.standard_normal((4, 2, 3, 3))
+
+    def fn(a, b, ww, g, bb):
+        y = batch_norm([a, b], g, bb, state, training, relu=True)
+        out = conv2d(y, ww, padding=1)
+        tensor_module._release(y)
+        return weighted_sum(out, proj)
+
+    report = check_gradients(fn, [*parts, w, gamma, beta], tolerance=1e-6)
     assert report.passed, report.max_rel_error
 
 
