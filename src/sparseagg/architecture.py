@@ -242,11 +242,11 @@ def spec_from_json_obj(obj: dict) -> NetworkSpec:
 
 
 def load_spec(path) -> NetworkSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{path}: not valid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, not JSON
+        raise SpecFormatError(f"{path}: not a readable JSON spec ({exc})") from None
     return spec_from_json_obj(obj)
 
 

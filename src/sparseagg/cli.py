@@ -214,7 +214,7 @@ def _normalization(extra) -> tuple[np.ndarray, np.ndarray] | None:
 def _cmd_heatmap(args, record) -> None:
     net, manifest = load_checkpoint(args.checkpoint)
     record["spec_hash"] = manifest["spec_hash"]
-    report = weight_heatmap(net, epoch=manifest.get("epoch"))
+    report = weight_heatmap(net, epoch=manifest["epoch"])
     formats = ("csv", "pgm") if args.format == "both" else (args.format,)
     paths = export_heatmap(report, args.out, formats)
     print(f"wrote {len(paths)} files under {args.out}")

@@ -106,8 +106,11 @@ def _block_csv(hm: BlockHeatmap) -> str:
 
 def load_heatmap_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read one exported block back as (matrix, mask); every wired cell lies in [0, 1]."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise DataFormatError(f"cannot read {path}: {exc}") from None
     if not lines or not lines[0].startswith("target,"):
         raise DataFormatError(f"{path} is not a heat-map CSV")
     n_src = len(lines[0].split(",")) - 1

@@ -57,9 +57,10 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "aggnet-checkpoint-v1"
 # JSON types of the manifest fields that load_checkpoint reads.
-_MANIFEST_FIELDS = {"spec": dict, "spec_hash": str, "seed": int, "dtype": str,
+_MANIFEST_FIELDS = {"spec": dict, "spec_hash": str, "seed": int, "epoch": int, "dtype": str,
                     "params": list, "bn_states": dict}
-_BN_META_FIELDS = {"steps": int, "eps": (int, float), "momentum": (int, float)}
+# Recorded for every batch-norm site; read back only absent or at exactly this value.
+_BN_FIXED = {"eps": T.BN_EPS, "momentum": T.BN_MOMENTUM}
 _FLOAT_DTYPES = ("float32", "float64")  # the dtypes Tensor and save_array support
 
 @dataclass
@@ -225,7 +226,7 @@ def save_checkpoint(net: Network, directory, epoch: int = 0, extra: dict | None 
     for name, st in net.bn_states.items():
         T.save_array(st.running_mean, os.path.join(directory, f"{name}.running_mean"))
         T.save_array(st.running_var, os.path.join(directory, f"{name}.running_var"))
-        bn_meta[name] = {"steps": st.steps, "eps": st.eps, "momentum": st.momentum}
+        bn_meta[name] = {"steps": st.steps, **_BN_FIXED}
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "spec": net.spec.to_json_obj(),
@@ -271,14 +272,15 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
             manifest = json.load(fh)
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint manifest at {path}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # a wrong-kind path, not UTF-8, not JSON
         raise CheckpointError(f"unreadable checkpoint manifest at {path}: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         found = manifest.get("format") if isinstance(manifest, dict) else manifest
         raise CheckpointError(f"unknown checkpoint format {found!r}")
     _check_fields(manifest, _MANIFEST_FIELDS, "checkpoint manifest")
-    if manifest["seed"] < 0:
-        raise CheckpointError(f"checkpoint seed must be non-negative, got {manifest['seed']}")
+    for key in ("seed", "epoch"):
+        if manifest[key] < 0:
+            raise CheckpointError(f"checkpoint {key} must be non-negative, got {manifest[key]}")
     if manifest["dtype"] not in _FLOAT_DTYPES:
         raise CheckpointError(f"checkpoint dtype must be one of {_FLOAT_DTYPES}, "
                               f"got {manifest['dtype']!r}")
@@ -298,11 +300,13 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
         meta = manifest["bn_states"].get(name)
         if meta is None:
             raise CheckpointError(f"checkpoint is missing batch-norm state {name}")
-        _check_fields(meta, _BN_META_FIELDS, f"checkpoint batch-norm state {name}")
-        # NaN fails every comparison, so it is rejected here too
-        if not (meta["steps"] >= 0 and 0 < meta["eps"] < np.inf and 0 <= meta["momentum"] <= 1):
-            raise CheckpointError(f"checkpoint batch-norm state {name} needs steps >= 0, a finite "
-                                  f"eps > 0 and momentum in [0, 1], got {meta!r}")
+        where = f"checkpoint batch-norm state {name}"
+        _check_fields(meta, {"steps": int}, where)
+        if meta["steps"] < 0:
+            raise CheckpointError(f"{where} needs steps >= 0, got {meta['steps']}")
+        for key, value in _BN_FIXED.items():
+            if key in meta and (type(meta[key]) is not float or meta[key] != value):
+                raise CheckpointError(f"{where} must have {key} {value}, got {meta[key]!r}")
         st.running_mean = _load_tensor(directory, f"{name}.running_mean",
                                        st.running_mean.shape, net.dtype)
         st.running_var = _load_tensor(directory, f"{name}.running_var",
@@ -310,6 +314,4 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
         if (st.running_var < 0).any():
             raise CheckpointError(f"checkpoint tensor {name}.running_var holds a negative variance")
         st.steps = meta["steps"]
-        st.eps = float(meta["eps"])
-        st.momentum = float(meta["momentum"])
     return net, manifest

@@ -74,6 +74,8 @@ __all__ = [
 
 _GRAD_ENABLED = True
 _DEBUG = os.environ.get("SPARSEAGG_DEBUG", "").strip().lower() in ("1", "true", "yes", "on")
+BN_EPS = 1e-5  # every batch-norm site normalizes by sqrt(var + BN_EPS)
+BN_MOMENTUM = 0.9  # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch statistic
 
 
 def set_debug(enabled: bool) -> None:
@@ -377,12 +379,10 @@ def _tap_weights(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BatchNormState:
-    """Running statistics for one batch-norm site (not trainable)."""
+    """Running statistics for one batch-norm site (not trainable); eps and momentum are fixed."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.9
     steps: int = 0
 
     @classmethod
@@ -400,8 +400,8 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     each part a gradient of its own.  The bits are those of batch norm over
     ``aggregate("concat", x)``.
 
-    Training mode normalizes by batch statistics (biased variance) and
-    updates ``state``; eval mode uses the running statistics.
+    Training mode normalizes by batch statistics (biased variance) and updates
+    ``state`` at ``BN_MOMENTUM``; eval mode uses the running statistics.
 
     ``relu=True`` makes the pair one node with the bits of
     ``relu(batch_norm(...))``: forward applies the ReLU in place on the
@@ -449,13 +449,13 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
         np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=out[:, lo:hi])
     if training:
         var = np.einsum("nchw,nchw->c", out, out) / count
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.running_var.dtype)
         state.steps += 1
     else:
         var = state.running_var
-    inv4 = (1.0 / np.sqrt(var + state.eps)).reshape(1, c, 1, 1)
+    inv4 = (1.0 / np.sqrt(var + BN_EPS)).reshape(1, c, 1, 1)
     # The centred buffer becomes xhat, then gamma * xhat + beta, in place.
     out *= inv4
     out *= g4
@@ -707,12 +707,12 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def aggregate(op: str, tensors: list[Tensor]) -> Tensor:
-    """Combine predecessor outputs: 'sum', 'average', or channel 'concat'.
+    """Combine predecessor outputs: elementwise 'sum' or channel 'concat'.
 
     Concat joins along channels in the order given (callers pass sources
-    nearest-first).
+    nearest-first); it is the bit-exact reference for ``batch_norm``'s list form.
     """
-    if op not in ("sum", "concat", "average"):
+    if op not in ("sum", "concat"):
         raise ValueError(f"unknown aggregation op {op!r}")
     if not tensors:
         raise ValueError("aggregate needs at least one tensor")
@@ -739,17 +739,12 @@ def aggregate(op: str, tensors: list[Tensor]) -> Tensor:
     base = tensors[0].data.shape
     for t in tensors[1:]:
         if t.data.shape != base:
-            raise ValueError(f"{op} aggregation needs equal shapes, got {base} and {t.data.shape}")
+            raise ValueError(f"sum aggregation needs equal shapes, got {base} and {t.data.shape}")
     total = tensors[0].data.copy()
     for t in tensors[1:]:
         total += t.data
-    scale = 1.0 / len(tensors) if op == "average" else 1.0
-    if op == "average":
-        total *= scale
 
     def backward_sum(g):
-        if op == "average":
-            g *= scale
         for t in tensors:
             if t.requires_grad:
                 t.accumulate_grad(g[...])
@@ -792,13 +787,15 @@ def save_array(arr: np.ndarray, base_path) -> None:
 
 
 def load_array(base_path) -> np.ndarray:
-    """Read a ``save_array`` pair; a sidecar that does not describe the bytes raises CheckpointError."""
+    """Read a ``save_array`` pair; an unreadable or inconsistent pair raises CheckpointError."""
     base = str(base_path)
-    with open(base + ".json", "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(base + ".json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"unreadable sidecar {base}.json: {exc}") from None
+        with open(base + ".bin", "rb") as fh:
+            raw = fh.read()
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, not JSON
+        raise CheckpointError(f"unreadable array {base}: {exc}") from None
     name = meta.get("dtype") if isinstance(meta, dict) else None
     if name not in _DTYPE_CODES:
         raise CheckpointError(f"unsupported dtype {name!r} in {base}.json")
@@ -806,8 +803,6 @@ def load_array(base_path) -> np.ndarray:
     if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
         raise CheckpointError(f"shape in {base}.json must be a list of non-negative ints, "
                               f"got {shape!r}")
-    with open(base + ".bin", "rb") as fh:
-        raw = fh.read()
     expected = math.prod(shape) * np.dtype(_DTYPE_CODES[name]).itemsize
     if len(raw) != expected:
         raise CheckpointError(f"{base}.bin holds {len(raw)} bytes; shape {shape} of {name} "

@@ -169,24 +169,22 @@ def lr_for_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 
 class SGD:
-    """SGD with Nesterov momentum and decoupled-from-nothing L2 weight decay.
+    """SGD with Nesterov momentum ``MOMENTUM`` and decoupled-from-nothing L2 weight decay.
 
     The decay term is added to the raw gradient before the momentum update,
     matching the common implementation: with fresh velocity the first step
-    is w -= lr * (1 + momentum) * (grad + wd * w).  Every parameter decays
+    is w -= lr * (1 + MOMENTUM) * (grad + wd * w).  Every parameter decays
     alike, batch-norm scales and shifts and biases included.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = MOMENTUM,
-                 weight_decay: float = 1e-4):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self) -> None:
-        mu, wd = self.momentum, self.weight_decay
+        mu, wd = MOMENTUM, self.weight_decay
         for name, p in self.params.items():
             if p.grad is None:
                 continue

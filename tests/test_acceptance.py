@@ -243,8 +243,6 @@ def _op_cases(rng):
     p3 = rng.standard_normal((1, 3, 2, 2))
     parts = [Tensor(rng.standard_normal((1, 3, 2, 2)), requires_grad=True) for _ in range(3)]
     yield "sum", lambda a, b, c: weighted_sum(aggregate("sum", [a, b, c]), p3), parts
-    parts = [Tensor(rng.standard_normal((1, 3, 2, 2)), requires_grad=True) for _ in range(3)]
-    yield "average", lambda a, b, c: weighted_sum(aggregate("average", [a, b, c]), p3), parts
 
 
 def _fd_net_spec():

@@ -206,13 +206,38 @@ def test_checkpoint_value_that_breaks_eval_exits_1(tmp_path, cifar_dir, where, k
     assert not (tmp_path / "out" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["heatmap", "eval"])
+@pytest.mark.parametrize("key,value", [("eps", 10.0), ("eps", 1), ("momentum", 0.5)],
+                         ids=["eps-10.0", "int-eps-1", "momentum-0.5"])
+def test_checkpoint_batch_norm_constant_other_than_fixed_exits_1(tmp_path, cifar_dir, command,
+                                                                 key, value):
+    # Each used to load, and eval and heatmap exited 0 with the value in use.
+    ckpt = tmp_path / "checkpoint"
+    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0)
+    save_checkpoint(net, ckpt)
+    site = list(net.bn_states)[len(net.bn_states) // 2]
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["bn_states"][site][key] = value
+    path.write_text(json.dumps(manifest))
+    extra = ["--data", cifar_dir, "--subset", "10"] if command == "eval" else []
+    code = main([command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "out"), *extra])
+    assert code == 1
+    record = run_json(tmp_path / "out")
+    assert record["error"].startswith("CheckpointError") and f"state {site} " in record["error"]
+
+
 def _break_manifest(manifest, damage):
     if damage == "list":
         return [manifest]
     if damage.startswith("missing-"):
         del manifest[damage[len("missing-"):]]
     else:
-        key, value = damage.split("=")
+        key, value = damage.split("=", 1)
+        try:
+            value = json.loads(value)  # "epoch=-5" sets an int, "seed=abc" a string
+        except ValueError:
+            pass
         manifest[key] = value
     return manifest
 
@@ -220,7 +245,10 @@ def _break_manifest(manifest, damage):
 @pytest.mark.parametrize("command", ["heatmap", "eval"])
 @pytest.mark.parametrize("damage", [
     "list", "seed=abc", "dtype=bogus", "dtype=float16",
-    *(f"missing-{key}" for key in ("spec", "spec_hash", "seed", "dtype", "params", "bn_states")),
+    # unchecked, each epoch exited 0 and heatmap copied it into heatmap_meta.json
+    "epoch=abc", "epoch=-5", 'epoch={"a": 1}', "epoch=NaN", "epoch=true",
+    *(f"missing-{key}" for key in ("spec", "spec_hash", "seed", "epoch", "dtype", "params",
+                                   "bn_states")),
 ])
 def test_malformed_checkpoint_manifest_exits_1(tmp_path, cifar_dir, command, damage):
     spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
@@ -359,6 +387,39 @@ def test_missing_subcommand_exits_1():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("case", [
+    "analyze-spec-dir", "train-spec-dir", "analyze-spec-binary", "eval-checkpoint-file",
+    "heatmap-checkpoint-file", "manifest-not-utf8", "sidecar-not-utf8",
+])
+def test_unreadable_or_wrong_kind_input_exits_1(tmp_path, cifar_dir, case):
+    # Each used to exit 2 as a runtime failure: IsADirectoryError,
+    # UnicodeDecodeError or NotADirectoryError.
+    ckpt = tmp_path / "checkpoint"
+    save_checkpoint(compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0),
+                    ckpt)
+    if case.endswith("not-utf8"):
+        path = ckpt / ("manifest.json" if case.startswith("manifest") else "stem.conv.json")
+        path.write_bytes(b"\xff" + path.read_bytes())
+    a_file = str(ckpt / "manifest.json")
+    argv = {
+        "analyze-spec-dir": ["analyze", "--spec", str(ckpt)],
+        "train-spec-dir": ["train", "--spec", str(ckpt), "--data", cifar_dir],
+        "analyze-spec-binary": ["analyze", "--spec", f"{cifar_dir}/test_batch.bin"],
+        "eval-checkpoint-file": ["eval", "--checkpoint", a_file, "--data", cifar_dir],
+        "heatmap-checkpoint-file": ["heatmap", "--checkpoint", a_file],
+    }.get(case, ["heatmap", "--checkpoint", str(ckpt)])
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    error = run_json(tmp_path / "out")["error"]
+    assert error.startswith("SpecFormatError" if "spec" in case else "CheckpointError"), error
+
+
+def test_output_that_cannot_be_written_exits_2(tmp_path):
+    # unreadable inputs are validation errors; a failed write is a runtime failure
+    (tmp_path / "graph_dense_L4.dot").mkdir()
+    assert main(["graph", "--topology", "dense", "--layers", "4", "--out", str(tmp_path)]) == 2
+    assert run_json(tmp_path)["error"].startswith("IsADirectoryError")
 
 
 def test_missing_spec_file_exits_1(tmp_path):

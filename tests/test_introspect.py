@@ -164,6 +164,16 @@ def test_csv_rejects_malformed_rows(tmp_path):
         load_heatmap_csv(notcsv)
 
 
+def test_csv_that_cannot_be_read_raises_data_format_error(tmp_path):
+    # a directory and a non-UTF-8 file used to raise IsADirectoryError and
+    # UnicodeDecodeError
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"target,source_0\n1,\xff\n")
+    for path in (tmp_path, binary, tmp_path / "missing.csv"):
+        with pytest.raises(DataFormatError, match="cannot read"):
+            load_heatmap_csv(path)
+
+
 def test_pgm_bytes(nets):
     report = weight_heatmap(nets["sparse"])
     hm = report.blocks[0]

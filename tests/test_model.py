@@ -253,7 +253,7 @@ def test_dropped_training_forward_leaves_no_reference_cycle():
 
 
 @pytest.mark.parametrize("name", ["sparse_bc_tiny_cifar.json", "sum_plain_d12_cifar.json"])
-def test_only_sum_and_average_units_call_aggregate(monkeypatch, name):
+def test_only_sum_units_call_aggregate(monkeypatch, name):
     spec = load_spec(config_path(name))
     if spec.family == "sum":
         # rewired so that some sum units have one predecessor and some several
@@ -346,6 +346,26 @@ def test_checkpoint_round_trip_preserves_logits(tmp_path):
     for name in net.params:
         np.testing.assert_array_equal(restored.params[name].data, net.params[name].data)
     np.testing.assert_array_equal(restored.predict(x), before)
+
+
+def test_checkpoint_records_fixed_batch_norm_constants_and_loads_without_them(tmp_path):
+    import json
+    spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    net = compile_network(spec, seed=11)
+    rng = np.random.default_rng(8)
+    x = batch(rng)
+    net.forward(x, training=True)
+    save_checkpoint(net, tmp_path / "ckpt")
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    assert sorted(manifest["bn_states"]) == sorted(net.bn_states)
+    for meta in manifest["bn_states"].values():
+        assert meta == {"steps": 1, "eps": 1e-05, "momentum": 0.9}
+        del meta["eps"], meta["momentum"]
+    mpath.write_text(json.dumps(manifest))
+    restored, _ = load_checkpoint(tmp_path / "ckpt")
+    with no_grad():
+        np.testing.assert_array_equal(restored.forward(x).data, net.forward(x).data)
 
 
 def test_checkpoint_rejects_different_spec(tmp_path):

@@ -12,6 +12,7 @@ from sparseagg.architecture import Conv, Pool, load_spec, plan_network
 from sparseagg.errors import CheckpointError, NonFiniteError
 from sparseagg.gradcheck import check_gradients
 from sparseagg.tensor import (
+    BN_EPS,
     BatchNormState,
     Tensor,
     aggregate,
@@ -156,10 +157,9 @@ def test_batch_norm_constant_channel_is_finite_zero():
 
 def test_batch_norm_eval_uses_running_stats():
     x = t64(np.zeros((1, 1, 2, 2)))
-    state = BatchNormState(running_mean=np.array([2.0]), running_var=np.array([4.0]),
-                           eps=0.0, steps=1)
+    state = BatchNormState(running_mean=np.array([2.0]), running_var=np.array([4.0]), steps=1)
     out = batch_norm(x, t64(np.ones(1)), t64(np.zeros(1)), state, training=False).data
-    np.testing.assert_allclose(out, -1.0)
+    np.testing.assert_allclose(out, -2.0 / np.sqrt(4.0 + BN_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -297,32 +297,10 @@ def test_sum_is_commutative():
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
-def test_average_splits_gradient():
-    parts = [t64(np.ones((1, 2, 2, 2))) for _ in range(4)]
-    out = aggregate("average", parts)
-    np.testing.assert_array_equal(out.data, np.ones((1, 2, 2, 2)))
-    out.backward(np.ones(out.shape))
-    for p in parts:
-        np.testing.assert_array_equal(p.grad, np.full((1, 2, 2, 2), 0.25))
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("count", [2, 3, 5])
-def test_average_matches_former_multiply_bit_for_bit(dtype, count):
-    rng = np.random.default_rng(40 + count)
-    parts = [rng.standard_normal((2, 3, 4, 4)).astype(dtype) for _ in range(count)]
-    total = parts[0].copy()
-    for p in parts[1:]:
-        total += p
-    out = aggregate("average", [Tensor(p) for p in parts]).data
-    assert same_bits(out, total * (1.0 / count))
-
-
-@pytest.mark.parametrize("op", ["sum", "average"])
-def test_sum_and_average_give_each_parent_its_own_gradient(op):
+def test_sum_gives_each_parent_its_own_gradient():
     rng = np.random.default_rng(7)
     a, b = rand64(rng, (2, 3, 4, 4)), rand64(rng, (2, 3, 4, 4))
-    out = aggregate(op, [a, b])
+    out = aggregate("sum", [a, b])
     out.backward(rng.standard_normal(out.shape))
     assert not np.shares_memory(a.grad, b.grad)
     before = b.grad.copy()
@@ -408,8 +386,7 @@ def test_backward_frees_intermediate_gradients():
     state = BatchNormState.create(1, dtype=np.float64)
     for op in (relu,
                lambda t: batch_norm(t, gamma, beta, state, training=True, relu=True),
-               lambda t: batch_norm(t, gamma, beta, state, training=False, relu=True),
-               lambda t: aggregate("average", [t, t])):
+               lambda t: batch_norm(t, gamma, beta, state, training=False, relu=True)):
         x.zero_grad()
         y = op(x)
         weighted_sum(y, np.ones(y.shape)).backward(free_graph=False)
@@ -876,7 +853,7 @@ def test_batch_norm_eval_matches_former_formula_bit_for_bit():
                            running_var=rng.uniform(0.5, 2.0, 5).astype(np.float32), steps=1)
     with no_grad():
         out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training=False).data
-    inv = (1.0 / np.sqrt(state.running_var + state.eps)).reshape(1, 5, 1, 1)
+    inv = (1.0 / np.sqrt(state.running_var + BN_EPS)).reshape(1, 5, 1, 1)
     ref = gamma.reshape(1, 5, 1, 1) * ((x - state.running_mean.reshape(1, 5, 1, 1)) * inv) \
         + beta.reshape(1, 5, 1, 1)
     assert same_bits(out, ref)
@@ -1126,7 +1103,7 @@ def bn_relu_away_from_kink(rng, training):
         x = z * rng.uniform(0.5, 2.0, (1, c, 1, 1)) + rng.standard_normal((1, c, 1, 1))
     else:
         state = BatchNormState(rng.standard_normal(c), rng.uniform(0.5, 2.0, c), steps=1)
-        x = z * np.sqrt(state.running_var + state.eps).reshape(1, c, 1, 1) \
+        x = z * np.sqrt(state.running_var + BN_EPS).reshape(1, c, 1, 1) \
             + state.running_mean.reshape(1, c, 1, 1)
     with no_grad():
         probe = BatchNormState(state.running_mean.copy(), state.running_var.copy(), steps=1)

@@ -203,7 +203,7 @@ def test_nesterov_first_step_oracle():
     lr, mu, wd = 0.1, 0.9, 1e-4
     p = Tensor(w0.copy(), requires_grad=True)
     p.grad = g.copy()
-    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=wd)
+    opt = SGD({"w": p}, lr=lr, weight_decay=wd)
     opt.step()
     expected = w0 - lr * (1 + mu) * (g + wd * w0)
     np.testing.assert_allclose(p.data, expected, rtol=1e-12)
@@ -214,7 +214,7 @@ def test_weight_decay_closed_form_with_zero_gradient():
     lr, mu, wd = 0.5, 0.9, 0.01
     p = Tensor(w0.copy(), requires_grad=True)
     p.grad = np.zeros_like(w0)
-    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=wd)
+    opt = SGD({"w": p}, lr=lr, weight_decay=wd)
     opt.step()
     np.testing.assert_allclose(p.data, w0 * (1.0 - lr * wd * (1.0 + mu)), rtol=1e-12)
 
@@ -224,7 +224,7 @@ def test_momentum_accumulates_over_steps():
     g = np.array([1.0])
     lr, mu = 0.1, 0.9
     p = Tensor(w0.copy(), requires_grad=True)
-    opt = SGD({"w": p}, lr=lr, momentum=mu, weight_decay=0.0)
+    opt = SGD({"w": p}, lr=lr, weight_decay=0.0)
     p.grad = g.copy()
     opt.step()
     w1 = w0 - lr * (1 + mu) * g
@@ -245,7 +245,7 @@ def test_every_parameter_decays_alike():
     params = {name: Tensor(w0.copy(), requires_grad=True) for name in names}
     for p in params.values():
         p.grad = np.zeros_like(w0)
-    SGD(params, lr=lr, momentum=mu, weight_decay=wd).step()
+    SGD(params, lr=lr, weight_decay=wd).step()
     for p in params.values():
         np.testing.assert_allclose(p.data, w0 * (1.0 - lr * wd * (1.0 + mu)), rtol=1e-12)
 
