@@ -1,11 +1,14 @@
 """The conv operand gather and fold, which a profiler wraps by these names.
 
 ``im2col`` gathers the zero-padded, channel-major operand whose shifted
-views ``tensor.conv2d`` reads (its docstring describes the algorithm), and
-``col2im`` folds the operand's gradient back onto the input: a pad and an
-unpad, under the names of the patch gather and scatter they replaced.
-``tensor`` looks both up at call time, so a wrapper sees every call.
-``active_backend`` names the implementation in run provenance.
+views ``tensor.conv2d`` reads (its docstring describes the algorithm).  A
+``BnRelu`` that feeds a conv writes that operand itself, so the gather
+serves the rest: the stem's image, and direct ``conv2d`` calls on any
+other input.  ``col2im`` folds one chunk of whole images of the operand's
+gradient back onto the NCHW input.  They are a pad and an unpad, under the
+names of the patch gather and scatter they replaced.  ``tensor`` looks
+both up at call time, so a wrapper sees every call.  ``active_backend``
+names the implementation in run provenance.
 """
 
 import numpy as np
@@ -25,10 +28,12 @@ def im2col(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def col2im(grad: np.ndarray, padding: int) -> np.ndarray:
-    """Fold an operand-shaped gradient (C, N, Hp, Wp) back to the NCHW input.
+    """Fold an operand-shaped gradient (C, k, Hp, Wp) back to its k NCHW images.
 
     The adjoint of ``im2col``: drops the margins and restores NCHW order.
-    Returns a view; the caller's gradient accumulation makes the one copy.
+    ``conv2d`` calls it on each chunk of whole images that its backward
+    completes.  Returns a view; the caller copies it into the gradient it
+    builds.
     """
     _, _, hp, wp = grad.shape
     return grad[:, :, padding:hp - padding, padding:wp - padding].transpose(1, 0, 2, 3)

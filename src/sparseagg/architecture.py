@@ -245,7 +245,7 @@ def load_spec(path) -> NetworkSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # missing, a directory, not JSON, too deep
         raise SpecFormatError(f"{path}: not a readable JSON spec ({exc})") from None
     return spec_from_json_obj(obj)
 

@@ -233,7 +233,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path through one
+        parser.error(f"--out {args.out!r} is not a usable directory: {exc.strerror}")
     record = {
         "command": args.command,
         "argv": argv,

@@ -13,13 +13,16 @@ on the block's closing predecessors.
 A sum unit runs on ``T.aggregate``'s output, or reads a lone predecessor's
 output directly.  A concat unit builds no concatenation: its first op, a
 ``BnRelu``, takes the list of predecessor outputs and reads each one in place
-(Pleiss et al., arXiv 1707.06990).  Each ``BnRelu`` output that a ``Conv``
-reads (both pairs of a bottleneck layer, and each transition) is released
-once the conv has run and rebuilt when the conv's backward reads it, so
-between forward and backward the graph keeps the layer outputs and
-per-channel statistics, not the ``BnRelu`` outputs (Chen et al., arXiv
-1604.06174).  The classifier's and an ImageNet stem's ``BnRelu`` feed a
-pool and are kept.
+(Pleiss et al., arXiv 1707.06990).  A ``BnRelu`` that feeds a ``Conv``
+(both pairs of a bottleneck layer, and each transition) gets the conv's
+padding as its margin: it writes its output into the conv's zero-margined,
+channel-major operand, which the conv reads with no gather (Anderson et
+al., arXiv 1709.03395).  That output is released once the conv has run and
+rebuilt, operand and all, when the conv's backward reads it, so between
+forward and backward the graph keeps the layer outputs and per-channel
+statistics, not the ``BnRelu`` outputs (Chen et al., arXiv 1604.06174).
+The classifier's and an ImageNet stem's ``BnRelu`` feed a pool: they get
+no margin and are kept.
 """
 
 from __future__ import annotations
@@ -101,14 +104,16 @@ class Network:
 
     # -- forward ------------------------------------------------------------
 
-    def _op(self, op: Op, x: Tensor | list[Tensor], training: bool) -> Tensor:
+    def _op(self, op: Op, x: Tensor | list[Tensor], training: bool, then: Op | None) -> Tensor:
         # Ops are looked up on the tensor module at call time, so that a
         # profiler can wrap them; each takes its parameter positionally.
         if isinstance(op, Conv):
             return T.conv2d(x, self.params[op.name], op.stride, op.padding)
         if isinstance(op, BnRelu):
+            # A BnRelu that feeds a conv writes the conv's zero-margined operand.
+            margin = then.padding if isinstance(then, Conv) else None
             return T.batch_norm(x, self.params[f"{op.name}.gamma"], self.params[f"{op.name}.beta"],
-                                self.bn_states[op.name], training, relu=True)
+                                self.bn_states[op.name], training, relu=True, margin=margin)
         if isinstance(op, Linear):
             return T.linear(x, self.params[f"{op.name}.weight"], self.params[f"{op.name}.bias"])
         if op.kind == "max":
@@ -118,8 +123,8 @@ class Network:
         return T.global_avg_pool(x)
 
     def _unit(self, unit: Unit, x: Tensor | list[Tensor], training: bool) -> Tensor:
-        for op in unit.ops:
-            y = self._op(op, x, training)
+        for op, then in zip(unit.ops, (*unit.ops[1:], None)):
+            y = self._op(op, x, training, then)
             if isinstance(op, Conv):
                 T._release(x)  # a BnRelu output: the conv's backward rebuilds it
             x = y
@@ -272,7 +277,7 @@ def load_checkpoint(directory, expect_spec: NetworkSpec | None = None) -> tuple[
             manifest = json.load(fh)
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint manifest at {path}") from None
-    except (OSError, ValueError) as exc:  # a wrong-kind path, not UTF-8, not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # a wrong-kind path, not JSON, too deep
         raise CheckpointError(f"unreadable checkpoint manifest at {path}: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         found = manifest.get("format") if isinstance(manifest, dict) else manifest

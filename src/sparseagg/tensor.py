@@ -8,31 +8,36 @@ checker.  No op mutates its inputs; ``backward`` accumulates into the
 Retention rule: a backward closure keeps the op's inputs, its own output
 (relu, and batch norm with ``relu=True``, which masks ``g`` with it) and
 per-channel statistics, never a derived full-size buffer.  A planned
-``BnRelu`` is that one batch-norm node: the ReLU runs in place on the
-batch-norm buffer, so no pre-ReLU output is kept.  Conv keeps ``x`` and
-``w`` and rebuilds its operand in backward (see ``conv2d``).  Average
+``BnRelu`` is that one batch-norm node: the ReLU is applied as the output
+is written, so no pre-ReLU output is kept.  A ``BnRelu`` that feeds a conv
+writes its output into that conv's zero-margined operand (``batch_norm``'s
+``margin``), which the conv reads as it is.  Conv keeps ``x`` and ``w``
+and reads its operand again in backward (see ``conv2d``).  Average
 pooling adds and fills strided views and keeps only its input.  Batch
 norm rebuilds ``xhat`` from its input, mean and inverse std; given a
 concat unit's predecessors as a list, its inputs are those predecessors,
 so no concatenation is built or kept.
 
 A recorded batch-norm output can also be rebuilt whole, bit for bit, from
-its inputs and statistics.  ``_release`` drops such an array, and the
-next backward step that reads it through ``_data`` rebuilds it; batch
-norm's backward then takes each part's ``xhat`` from that rebuild.  The
-executor releases every ``BnRelu`` output once the conv that reads it has
-run, so what a training step keeps alive between forward and backward is
-the layer outputs plus per-channel statistics.  The only derived arrays
-kept are output-sized ones: max-pool argmax indices and softmax
+its inputs and statistics.  ``_release`` drops such an array, with the
+operand it views, and the next backward step that reads it through
+``_data`` rebuilds it.  The executor releases every ``BnRelu`` output once
+the conv that reads it has run, so what a training step keeps alive
+between forward and backward is the layer outputs plus per-channel
+statistics.  One unit's backward adds to that: the conv's output gradient
+and its zero-margined copy, the rebuilt operand, the tap stack, at most
+one image's plus one chunk's operand gradient, the input gradient it is
+folded into, and then batch norm's per-part ``dx``.  The only derived
+arrays kept are output-sized ones: max-pool argmax indices and softmax
 probabilities.
 
 Gradient ownership: each backward closure owns the gradient it is handed
 and may overwrite it.  ``accumulate_grad`` takes ownership of what it is
 given: it adds into an existing ``.grad``, adopts an array that owns its
 memory and is C-contiguous with the data's dtype and shape, and copies
-anything else.  So an op hands over arrays it built and passes views
-(concat slices, one view of a shared gradient per parent), which are
-copied.
+anything else into a C-order array.  So an op hands over arrays it built
+and passes views (concat slices, one view of a shared gradient per
+parent), which are copied.
 
 Set ``SPARSEAGG_DEBUG=1`` (or call ``set_debug(True)``) to assert every op
 output is finite and to warn when batch norm is evaluated before any
@@ -96,7 +101,8 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild",
+                 "_operand")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -108,6 +114,9 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._rebuild: _Rebuildable | None = None
+        # A zero-margined (C, N, H+2m, W+2m) array whose interior ``data`` views:
+        # set by ``batch_norm(..., margin=m)``, read by ``conv2d`` at padding m.
+        self._operand: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -125,8 +134,9 @@ class Tensor:
 
         The first gradient becomes ``.grad`` itself when it owns its memory
         and is C-contiguous with the data's dtype and shape; anything else,
-        views included, is copied.  The caller must not write to ``g``
-        afterwards.
+        views included, is copied into a C-order array, whatever the layout
+        of ``data`` (a margined batch-norm output is a channel-major view).
+        The caller must not write to ``g`` afterwards.
         """
         if self.grad is not None:
             self.grad += g
@@ -134,7 +144,7 @@ class Tensor:
               and g.shape == self.data.shape):
             self.grad = g
         else:
-            self.grad = np.empty_like(self.data)
+            self.grad = np.empty(self.data.shape, dtype=self.data.dtype)
             np.copyto(self.grad, g, casting="same_kind")
 
     def backward(self, grad: np.ndarray | None = None, free_graph: bool = True) -> None:
@@ -209,30 +219,29 @@ class _Rebuildable:
     """A recorded op's output that ``_release`` may drop and ``_data`` rebuilds.
 
     Shared by the output Tensor (its ``_rebuild`` slot) and the op's backward
-    closure, which reads ``out`` and ``kept`` from here: a closure that held
-    the output Tensor would make a reference cycle.  ``make()`` returns the
-    output again, bit for bit, plus what backward may reuse (``kept``).
+    closure, which reads ``out`` from here: a closure that held the output
+    Tensor would make a reference cycle.  ``make()`` returns the output
+    again, bit for bit, and the operand it is a view of (or None).
     """
 
-    __slots__ = ("out", "kept", "make")
+    __slots__ = ("out", "make")
 
     def __init__(self, out: np.ndarray, make):
         self.out = out
-        self.kept = None
         self.make = make
 
 
 def _release(t: Tensor) -> None:
     """Drop ``t``'s array until backward reads it; a no-op unless ``t`` is rebuildable."""
     if t._rebuild is not None:
-        t.data = t._rebuild.out = None
+        t.data = t._rebuild.out = t._operand = None
 
 
 def _data(t: Tensor) -> np.ndarray:
     """``t.data``, rebuilt first if ``_release`` dropped it."""
     if t.data is None:
         saved = t._rebuild
-        saved.out, saved.kept = saved.make()
+        saved.out, t._operand = saved.make()
         t.data = saved.out
     return t.data
 
@@ -246,9 +255,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     The output size is floored, ``oh = (H + 2 * padding - kh) // stride + 1``,
     as the planner sizes it.  The conv reads shifted views of a zero-padded,
-    channel-major copy of ``x`` (Anderson et al., arXiv 1709.03395), so no
-    patch matrix is built at any kernel size or stride.  Window origin q of
-    the flat padded operand ``K.im2col(x)`` (C, N*Hp*Wp) gets
+    channel-major operand (C, N, Hp, Wp) of ``x`` (Anderson et al., arXiv
+    1709.03395), so no patch matrix is built at any kernel size or stride.
+    A ``batch_norm(..., margin=padding)`` output already sits in such an
+    operand, which the conv reads as it is; any other input is gathered by
+    ``K.im2col``.  Window origin q of the flat operand (C, N*Hp*Wp) gets
     ``sum_t W_t @ operand[:, q + offset_t]`` over the kernel taps
     t = (ky, kx), ``offset_t = ky * Wp + kx``, on the dense (O, N, Hp, Wp)
     grid of origins; the output is the grid's ``[::stride, ::stride]``
@@ -264,11 +275,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     shifted views ``g_grid[:, q - offset]`` into one (kh*kw*O, chunk)
     matrix G and runs two GEMMs, ``dW += G @ operand.T`` and
     ``d_operand = W_cat.T @ G``, so each operand-gradient column is written
-    once.
+    once.  Each run of whole images that a chunk completes is folded at
+    once by ``K.col2im`` into an NCHW gradient that the conv owns, so at
+    most one image's operand gradient plus one chunk's is ever pending.
 
     Both directions use one chunk width per call, ``_chunk_columns``: a tap
     stack no larger than the operand, 1024 to 4096 columns wide.  Backward
-    rebuilds the operand (1.1-1.6x the input) rather than keeping it, and
+    reads the operand again rather than keeping it (a margined input is
+    rebuilt in place of its operand, any other one gathered again), and
     frees the tap stack before returning.  It reads ``x``'s array when it
     runs, through ``_data``, so ``x`` may have been released after forward.
     """
@@ -295,7 +309,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     corner = (slice(None), slice(None), slice(0, stride * oh, stride), slice(0, stride * ow, stride))
 
     # Grid columns from `span` on are never written and never read.
-    operand = K.im2col(x.data, padding).reshape(c, -1)
+    operand = _operand(x, padding).reshape(c, -1)
     rows = len(offsets) * o
     chunk = _chunk_columns(operand.size, rows)
     grid = np.empty((o, n * hp * wp), dtype=dtype)
@@ -325,15 +339,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         # x's array is read now, not in forward: _release may have dropped it.
         # It is rebuilt even when only x needs a gradient, since
         # accumulate_grad reads its shape and dtype.
-        xd = _data(x)
-        width, lead = n * hp * wp, offsets[-1]
+        _data(x)
+        width, lead, image = n * hp * wp, offsets[-1], hp * wp
         covered = (oh, ow) == (hp, wp)  # 1x1, unpadded: no margin to zero
         g_pad = (np.empty if covered else np.zeros)((o, lead + width), dtype=dtype)
         g_pad[:, lead:].reshape(o, n, hp, wp)[corner] = g.transpose(1, 0, 2, 3)
-        operand = K.im2col(xd, padding).reshape(c, -1) if w.requires_grad else None
+        operand = _operand(x, padding).reshape(c, -1) if w.requires_grad else None
         w_cat = _tap_weights(w.data)
         dw = np.zeros_like(w_cat) if w.requires_grad else None
-        dop = np.empty((c, width), dtype=dtype) if x.requires_grad else None
+        dx = np.empty((n, c, h, wdt), dtype=dtype) if x.requires_grad else None
+        # The operand-gradient columns of the images not yet folded into dx
+        # (the first `done` are): at most one image's plus one chunk's.
+        pending = np.empty((c, min(width, image + chunk)), dtype=dtype) if x.requires_grad else None
+        done = 0
         buf = np.empty(rows * min(chunk, width), dtype=dtype)
         tmp = None
         for a in range(0, width, chunk):
@@ -345,15 +363,36 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             if dw is not None:
                 tmp = np.matmul(stack, operand[:, a:b].T, out=tmp)
                 dw += tmp
-            if dop is not None:
-                np.matmul(w_cat.T, stack, out=dop[:, a:b])
-        del g_pad, operand, buf, stack, tmp
+            if dx is None:
+                continue
+            lo = a - done * image  # where column a sits in `pending`
+            np.matmul(w_cat.T, stack, out=pending[:, lo:lo + b - a])
+            ready = b // image  # images whose operand columns are all computed
+            if ready > done:
+                cols = (ready - done) * image
+                dx[done:ready] = K.col2im(pending[:, :cols].reshape(c, -1, hp, wp), padding)
+                rest = lo + b - a - cols  # the next image's columns so far
+                pending[:, :rest] = pending[:, cols:cols + rest]
+                done = ready
+        del g_pad, operand, buf, stack, tmp, pending
         if dw is not None:
             w.accumulate_grad(dw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
-        if dop is not None:
-            x.accumulate_grad(K.col2im(dop.reshape(c, n, hp, wp), padding))
+        if dx is not None:
+            x.accumulate_grad(dx)
 
     return _result(np.ascontiguousarray(out), (x, w), backward, "conv2d")
+
+
+def _operand(x: Tensor, padding: int) -> np.ndarray:
+    """``x``'s (C, N, H+2p, W+2p) conv operand at padding p.
+
+    The one ``batch_norm`` wrote when it was given margin p, else a gather
+    by ``K.im2col``: an operand is never inferred from strides.
+    """
+    n, c, h, w = x.data.shape
+    if x._operand is not None and x._operand.shape == (c, n, h + 2 * padding, w + 2 * padding):
+        return x._operand
+    return K.im2col(x.data, padding)
 
 
 # Widest column chunk of the stacked-tap conv, in both directions: single 3x3
@@ -391,7 +430,7 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: BatchNormState,
-               training: bool, relu: bool = False) -> Tensor:
+               training: bool, relu: bool = False, margin: int | None = None) -> Tensor:
     """Per-channel batch norm over an NCHW tensor, optionally followed by ReLU.
 
     ``x`` is one tensor or a sequence of NCHW tensors standing for their
@@ -404,16 +443,27 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     ``state`` at ``BN_MOMENTUM``; eval mode uses the running statistics.
 
     ``relu=True`` makes the pair one node with the bits of
-    ``relu(batch_norm(...))``: forward applies the ReLU in place on the
-    batch-norm buffer, so no pre-ReLU output is kept, and backward masks
-    ``g`` with ``out > 0`` before the batch-norm backward.
+    ``relu(batch_norm(...))``: forward applies the ReLU as it writes the
+    output, so no pre-ReLU output is kept, and backward masks ``g`` with
+    ``out > 0`` before the batch-norm backward.
 
-    When a graph is recorded the output can be released (``_release``) and
-    is then rebuilt when backward first reads it: per part, subtract the
-    mean, ``*= inv``, ``*= gamma``, then ``+= beta``, cast and ReLU, the
-    forward's op sequence, so the bits are the forward's.  The rebuild
-    keeps each part's ``xhat``, and backward builds that part's ``dx`` in
-    it instead of computing ``xhat`` again.
+    ``margin=m`` writes the output into the zero-margined, channel-major
+    operand (C, N, H+2m, W+2m) that ``conv2d`` at padding m reads: the
+    output's ``data`` is the NCHW view of the operand's interior, and the
+    conv reads the operand as it is, with no gather.  Training still
+    centres the whole batch in an NCHW buffer first, since the variance's
+    bits depend on the layout it reads, and writes the operand from it
+    with the ReLU.
+
+    Eval mode, and the rebuild below, write the output per part through
+    one part-sized scratch buffer: subtract the mean, ``*= inv``,
+    ``*= gamma``, then ``+= beta``, cast and ReLU, the training forward's
+    op sequence, so the bits are the same.  When a graph is recorded the
+    output can be released (``_release``) and is rebuilt that way, into a
+    fresh operand when it has a margin, when backward first reads it.
+    Backward builds each part's ``xhat`` again from the part, in the
+    buffer where it then builds that part's ``dx``: nothing derived from
+    the inputs is kept between the rebuild and backward.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if not parts:
@@ -438,69 +488,69 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
 
     if training:
         mu = _channel_means(parts)
-    else:
-        if state.steps == 0 and _DEBUG:
-            warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
-                          RuntimeWarning, stacklevel=2)
-        mu = state.running_mean
-    # Each part's centred values go straight into its channels of the buffer.
-    out = np.empty((n, c, h, w), dtype=np.result_type(dtype, mu.dtype))
-    for p, lo, hi in spans:
-        np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=out[:, lo:hi])
-    if training:
+        # The centred batch, built whole in NCHW order: einsum's bits
+        # depend on the layout it reads.
+        out = np.empty((n, c, h, w), dtype=np.result_type(dtype, mu.dtype))
+        for p, lo, hi in spans:
+            np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=out[:, lo:hi])
         var = np.einsum("nchw,nchw->c", out, out) / count
         m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.running_var.dtype)
         state.steps += 1
     else:
-        var = state.running_var
+        if state.steps == 0 and _DEBUG:
+            warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
+                          RuntimeWarning, stacklevel=2)
+        mu, var = state.running_mean, state.running_var
     inv4 = (1.0 / np.sqrt(var + BN_EPS)).reshape(1, c, 1, 1)
-    # The centred buffer becomes xhat, then gamma * xhat + beta, in place.
-    out *= inv4
-    out *= g4
-    out += b4
-    out = out.astype(dtype, copy=False)
-    if relu:
-        np.maximum(out, 0, out=out)  # propagates NaN, as relu() does
 
-    def xhat_of(p, lo, hi):
-        xhat = p.data - mu[lo:hi].reshape(1, -1, 1, 1)
-        xhat *= inv4[:, lo:hi]
-        return xhat
-
-    def rebuild():
-        # The forward's op sequence per element, so the bits are the same;
-        # each part's xhat is kept for backward.
-        again = np.empty((n, c, h, w), dtype=np.result_type(dtype, mu.dtype))
-        xhats = []
-        for p, lo, hi in spans:
-            xhats.append(xhat_of(p, lo, hi))
-            np.multiply(xhats[-1], g4[:, lo:hi], out=again[:, lo:hi])
-        again += b4
-        again = again.astype(dtype, copy=False)
+    def finish(src, dst):
+        src = src.astype(dtype, copy=False)
         if relu:
-            np.maximum(again, 0, out=again)
-        return again, xhats
+            np.maximum(src, 0, out=dst)  # propagates NaN, as relu() does
+        elif dst is not src:
+            np.copyto(dst, src)
 
-    saved = _Rebuildable(out, rebuild)
+    def make():
+        y, operand = _bn_output((n, c, h, w), dtype, margin)
+        scratch = np.empty(n * max(hi - lo for _, lo, hi in spans) * h * w,
+                           dtype=np.result_type(dtype, mu.dtype))
+        for p, lo, hi in spans:
+            part = scratch[:p.data.size].reshape(p.data.shape)
+            np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=part)
+            part *= inv4[:, lo:hi]
+            part *= g4[:, lo:hi]
+            part += b4[:, lo:hi]
+            finish(part, y[:, lo:hi])
+        return y, operand
+
+    if training:
+        # The centred buffer becomes xhat, then gamma * xhat + beta, in place.
+        out *= inv4
+        out *= g4
+        out += b4
+        out = out.astype(dtype, copy=False)
+        y, operand = (out, None) if margin is None else _bn_output(out.shape, dtype, margin)
+        finish(out, y)
+        del out
+    else:
+        y, operand = make()
+
+    saved = _Rebuildable(y, make)
 
     def backward(g):
-        xhats, saved.kept = saved.kept, None  # a rebuild's, used once
         if relu:
             np.multiply(g, saved.out > 0, out=g)
         sum_g = np.einsum("nchw->c", g)
         sum_gx = np.empty_like(sum_g)
         scale = g4 * inv4
-        # Per part, in the channel order: take xhat from the rebuild or
-        # rebuild it from the part, then build the part's dx in xhat's
-        # buffer and hand it over.
-        for i, (p, lo, hi) in enumerate(spans):
+        # Per part, in the channel order: xhat from the part, then the
+        # part's dx built in xhat's buffer and handed over.
+        for p, lo, hi in spans:
             gp = g[:, lo:hi]
-            if xhats is None:
-                xhat = xhat_of(p, lo, hi)
-            else:
-                xhat, xhats[i] = xhats[i], None
+            xhat = p.data - mu[lo:hi].reshape(1, -1, 1, 1)
+            xhat *= inv4[:, lo:hi]
             sum_gx[lo:hi] = np.einsum("nchw,nchw->c", gp, xhat)
             if not p.requires_grad:
                 continue
@@ -519,10 +569,20 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
         if gamma.requires_grad:
             gamma.accumulate_grad(sum_gx)
 
-    result = _result(out, (*parts, gamma, beta), backward, "batch_norm")
+    result = _result(y, (*parts, gamma, beta), backward, "batch_norm")
+    result._operand = operand
     if result.requires_grad:
         result._rebuild = saved
     return result
+
+
+def _bn_output(shape: tuple, dtype, margin: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """A fresh NCHW output and, with a margin m, the zeroed (C, N, H+2m, W+2m) operand it views."""
+    if margin is None:
+        return np.empty(shape, dtype=dtype), None
+    n, c, h, w = shape
+    operand = np.zeros((c, n, h + 2 * margin, w + 2 * margin), dtype=dtype)
+    return operand[:, :, margin:margin + h, margin:margin + w].transpose(1, 0, 2, 3), operand
 
 
 def _channel_means(parts: tuple[Tensor, ...]) -> np.ndarray:
@@ -794,7 +854,7 @@ def load_array(base_path) -> np.ndarray:
             meta = json.load(fh)
         with open(base + ".bin", "rb") as fh:
             raw = fh.read()
-    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # missing, a directory, not JSON, too deep
         raise CheckpointError(f"unreadable array {base}: {exc}") from None
     name = meta.get("dtype") if isinstance(meta, dict) else None
     if name not in _DTYPE_CODES:

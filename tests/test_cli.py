@@ -391,28 +391,48 @@ def test_missing_subcommand_exits_1():
 
 @pytest.mark.parametrize("case", [
     "analyze-spec-dir", "train-spec-dir", "analyze-spec-binary", "eval-checkpoint-file",
-    "heatmap-checkpoint-file", "manifest-not-utf8", "sidecar-not-utf8",
+    "heatmap-checkpoint-file", "manifest-not-utf8", "sidecar-not-utf8", "analyze-spec-deep",
+    "manifest-deep", "sidecar-deep",
 ])
 def test_unreadable_or_wrong_kind_input_exits_1(tmp_path, cifar_dir, case):
     # Each used to exit 2 as a runtime failure: IsADirectoryError,
-    # UnicodeDecodeError or NotADirectoryError.
+    # UnicodeDecodeError, NotADirectoryError or, for JSON nested deeper
+    # than the decoder recurses, RecursionError.
     ckpt = tmp_path / "checkpoint"
     save_checkpoint(compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0),
                     ckpt)
+    path = ckpt / ("manifest.json" if case.startswith("manifest") else "stem.conv.json")
     if case.endswith("not-utf8"):
-        path = ckpt / ("manifest.json" if case.startswith("manifest") else "stem.conv.json")
         path.write_bytes(b"\xff" + path.read_bytes())
+    deep = "[" * 100_000 + "]" * 100_000
+    if case.endswith("deep"):
+        (tmp_path / "deep.json" if "spec" in case else path).write_text(deep)
     a_file = str(ckpt / "manifest.json")
     argv = {
         "analyze-spec-dir": ["analyze", "--spec", str(ckpt)],
         "train-spec-dir": ["train", "--spec", str(ckpt), "--data", cifar_dir],
         "analyze-spec-binary": ["analyze", "--spec", f"{cifar_dir}/test_batch.bin"],
+        "analyze-spec-deep": ["analyze", "--spec", str(tmp_path / "deep.json")],
         "eval-checkpoint-file": ["eval", "--checkpoint", a_file, "--data", cifar_dir],
         "heatmap-checkpoint-file": ["heatmap", "--checkpoint", a_file],
     }.get(case, ["heatmap", "--checkpoint", str(ckpt)])
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     error = run_json(tmp_path / "out")["error"]
     assert error.startswith("SpecFormatError" if "spec" in case else "CheckpointError"), error
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys, under):
+    # os.makedirs used to raise outside the command's error handling: a
+    # FileExistsError (or NotADirectoryError) traceback and no run.json.
+    a_file = tmp_path / "notes.txt"
+    a_file.write_text("keep me\n")
+    out = a_file / "sub" if under else a_file
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--topology", "dense", "--layers", "4", "--out", str(out)])
+    assert exc.value.code == 1
+    assert str(out) in capsys.readouterr().err.splitlines()[-1]
+    assert a_file.read_text() == "keep me\n"
 
 
 def test_output_that_cannot_be_written_exits_2(tmp_path):

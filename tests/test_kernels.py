@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseagg import _kernels as K
-from sparseagg.tensor import Tensor, conv2d, max_pool2d
+from sparseagg.tensor import BatchNormState, Tensor, batch_norm, conv2d, max_pool2d
 
 CONV_CASES = [
     # (n, c, h, w, kh, kw, stride) with h, w already padded
@@ -262,3 +262,18 @@ def test_active_backend_reports_dispatch():
         out = conv2d(x, w, padding=1)
         out.backward(np.ones(out.shape))
     assert calls == ["im2col", "im2col", "col2im"]
+
+    # A BnRelu output written with the conv's padding as its margin is the
+    # conv's operand: nothing is gathered.  25 images of 10x10 padded columns
+    # run as 1024-column chunks, and each chunk completes whole images (10,
+    # 20, then 25), which one col2im call folds.
+    calls.clear()
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((25, 2, 8, 8)), requires_grad=True)
+    y = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState.create(2, np.float64),
+                   True, relu=True, margin=1)
+    with mock.patch.object(K, "im2col", spy(K.im2col)), \
+            mock.patch.object(K, "col2im", spy(K.col2im)):
+        out = conv2d(y, w, padding=1)
+        out.backward(rng.standard_normal(out.shape))
+    assert calls == ["col2im"] * 3

@@ -223,6 +223,15 @@ def test_dense_wired_training_step_keeps_no_conv_input():
     assert peak < 32_000_000, peak
 
 
+def test_dense_wired_training_step_writes_each_conv_input_into_its_operand():
+    # 29.47 MB while each conv gathered its BnRelu input into a padded
+    # operand of its own, kept every part's xhat from the rebuild and built
+    # its whole operand gradient; 24.66 MB with batch norm writing the
+    # operand, no xhat kept, and the gradient folded a few images at a time.
+    peak = training_step_peak(dense_wired_tiny())
+    assert peak < 27_000_000, peak
+
+
 def test_sum_plain_training_step_peak_stays_under_bound():
     # sum_plain_d12 at batch 16: 34.54 MB while every unit copied its lone
     # predecessor into a sum node, 25.62 MB reading it directly, 17.23 MB

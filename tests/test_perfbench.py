@@ -37,6 +37,9 @@ def test_tracer_records_every_op_of_a_training_step_under_its_row(monkeypatch):
     # every record carries a CostReport row, and every row has a record
     assert {rec.row for rec in tracer.records} == {row.layer for row in analyze(spec).rows}
     assert tracer.totals["kernels.im2col_s"] > 0
+    # Bench.per_layer reads this total unconditionally: a step whose conv
+    # backward never called K.col2im would make every traced run raise.
+    assert tracer.totals["kernels.col2im_s"] > 0
     # Trace 1's own output checks, held here too: a change that hid T.conv2d
     # from the tracer, or ran batch norm's backward where it is not timed,
     # would fail this test and not only a traced benchmark run.

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import config_path
+from sparseagg import _kernels as K
 from sparseagg import tensor as tensor_module
+from sparseagg._kernels import im2col
 from sparseagg.architecture import Conv, Pool, load_spec, plan_network
 from sparseagg.errors import CheckpointError, NonFiniteError
 from sparseagg.gradcheck import check_gradients
@@ -970,8 +972,8 @@ def same_or_none(a, b):
     return (a is None and b is None) or (a is not None and b is not None and same_bits(a, b))
 
 
-def bn_relu_conv(case, seed, parts_of, conv, flags, released):
-    """The graph of conv2d(batch_norm(parts, ..., relu=True), w), its leaves and a seed gradient.
+def bn_relu_conv(case, seed, parts_of, conv, flags, released, margin=None):
+    """The graph of conv2d(batch_norm(parts, ..., relu=True, margin), w), its leaves and a seed gradient.
 
     With ``released`` the BnRelu output's array is dropped after the conv,
     as ``Network`` does, and the conv's backward rebuilds it.
@@ -985,7 +987,7 @@ def bn_relu_conv(case, seed, parts_of, conv, flags, released):
     gt = Tensor(gamma.copy(), requires_grad=flags[2])
     bt = Tensor(beta.copy(), requires_grad=True)
     state = make_state()
-    y = batch_norm(parts, gt, bt, state, not case.startswith("eval"), relu=True)
+    y = batch_norm(parts, gt, bt, state, not case.startswith("eval"), relu=True, margin=margin)
     out = conv2d(y, wt, stride, padding)
     if released:
         tensor_module._release(y)
@@ -1005,17 +1007,23 @@ def run_bn_relu_conv(*args, **kwargs):
 @pytest.mark.parametrize("conv", PAIR_CONVS, ids=lambda c: "k{}s{}".format(*c))
 @pytest.mark.parametrize("parts_of", sorted(PAIR_PARTS))
 @pytest.mark.parametrize("case", ["train", "eval"])
-def test_released_bn_relu_conv_matches_kept_bit_for_bit(case, parts_of, conv, flags):
+@pytest.mark.parametrize("margin", ["none", "same", "other"])
+def test_released_bn_relu_conv_matches_kept_bit_for_bit(margin, case, parts_of, conv, flags):
+    # Released, and with the BnRelu output written into the conv's operand
+    # ("same") or into an operand of another padding that the conv does not
+    # read ("other"), against the output kept as a plain NCHW array.
+    margin = {"none": None, "same": conv[2], "other": conv[2] + 1}[margin]
     kept = run_bn_relu_conv(case, 0, PAIR_PARTS[parts_of], conv, flags, released=False)
-    released = run_bn_relu_conv(case, 0, PAIR_PARTS[parts_of], conv, flags, released=True)
+    released = run_bn_relu_conv(case, 0, PAIR_PARTS[parts_of], conv, flags, released=True,
+                                margin=margin)
     for got, ref in zip(released, kept):
         assert same_or_none(got, ref)
 
 
 @pytest.mark.parametrize("case", ["train", "eval"])
 def test_released_pair_backward_twice_without_free_graph_matches_one_sweep(case):
-    # The first sweep uses the rebuild's xhat as each part's dx buffer; the
-    # second finds x rebuilt already and recomputes xhat from the parts.
+    # The first sweep rebuilds x; the second finds it rebuilt already.  Both
+    # build each part's xhat from the part, in the buffer of its dx.
     pair = (case, 1, PART_CHANNELS, (3, 1, 1), (True,) * 3)
     ref = run_bn_relu_conv(*pair, released=True)[:-2]
     leaves, _, y, out, g = bn_relu_conv(*pair, released=True)
@@ -1025,6 +1033,36 @@ def test_released_pair_backward_twice_without_free_graph_matches_one_sweep(case)
         out.backward(g, free_graph=False)
         got = [out.data, y.data, *(t.grad for t in leaves)]
         assert all(same_bits(a, b) for a, b in zip(got, ref))
+
+
+def test_conv_gathers_an_unmarked_view_of_a_margined_array(monkeypatch):
+    # A view laid out as a conv operand's interior, but not written by
+    # batch_norm: its margins hold data, and the conv must not read them.
+    rng = np.random.default_rng(23)
+    base = rng.standard_normal((4, 3, 9, 9)).astype(np.float32)  # (C, N, H+2, W+2), margin 1
+    view = base[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+    w = rng.standard_normal((5, 4, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((3, 5, 7, 7)).astype(np.float32)
+    gathered = []
+    monkeypatch.setattr(K, "im2col", lambda *args: gathered.append(1) or im2col(*args))
+    results = []
+    for data in (view, np.ascontiguousarray(view)):
+        xt, wt = Tensor(data, requires_grad=True), Tensor(w.copy(), requires_grad=True)
+        out = conv2d(xt, wt, padding=1)
+        out.backward(g.copy())
+        results.append([out.data, xt.grad, wt.grad])
+    assert len(gathered) == 4  # forward and backward, for each input
+    assert all(same_bits(a, b) for a, b in zip(*results))
+
+
+def test_accumulate_grad_copies_into_c_order():
+    x, gamma, beta, _, make_state = bn_relu_inputs("train", 0)
+    y = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta), make_state(),
+                   True, relu=True, margin=1)
+    assert not y.data.flags.c_contiguous  # a view of the channel-major operand
+    g = np.random.default_rng(4).standard_normal((8, 12, 7, 7)).astype(np.float32)[:, ::2]
+    y.accumulate_grad(g)
+    assert y.grad.flags.c_contiguous and same_bits(y.grad, g)
 
 
 def test_release_is_a_no_op_without_a_graph():
@@ -1139,9 +1177,10 @@ def test_fd_batch_norm_of_parts(training, seed):
     assert report.passed, report.max_rel_error
 
 
+@pytest.mark.parametrize("margin", [None, 1, 2], ids=["none", "same", "other"])
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("seed", range(10))
-def test_fd_released_bn_relu_conv(training, seed):
+def test_fd_released_bn_relu_conv(training, seed, margin):
     rng = np.random.default_rng(330 + seed)
     x, gamma, beta, state = bn_relu_away_from_kink(rng, training)
     parts = [t64(x.data[:, :1].copy()), t64(x.data[:, 1:].copy())]  # one channel, and two
@@ -1149,7 +1188,7 @@ def test_fd_released_bn_relu_conv(training, seed):
     proj = rng.standard_normal((4, 2, 3, 3))
 
     def fn(a, b, ww, g, bb):
-        y = batch_norm([a, b], g, bb, state, training, relu=True)
+        y = batch_norm([a, b], g, bb, state, training, relu=True, margin=margin)
         out = conv2d(y, ww, padding=1)
         tensor_module._release(y)
         return weighted_sum(out, proj)
