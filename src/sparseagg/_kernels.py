@@ -1,12 +1,11 @@
 """The conv operand gather and fold, which a profiler wraps by these names.
 
 ``im2col`` gathers the zero-padded, channel-major operand whose shifted
-views ``tensor.conv2d`` reads (its docstring describes the algorithm).  A
-``BnRelu`` that feeds a conv writes that operand itself, so the gather
-serves the rest: the stem's image, and direct ``conv2d`` calls on any
-other input.  ``col2im`` folds one chunk of whole images of the operand's
-gradient back onto the NCHW input.  They are a pad and an unpad, under the
-names of the patch gather and scatter they replaced.  ``tensor`` looks
+views ``tensor.conv2d`` reads (its docstring describes the algorithm), for
+any input that batch norm has not written as one (see ``tensor``).
+``col2im`` folds one chunk of whole images of the operand's gradient back
+onto the NCHW input.  They are a pad and an unpad, under the names of the
+patch gather and scatter they replaced.  ``tensor`` looks
 both up at call time, so a wrapper sees every call.  ``active_backend``
 names the implementation in run provenance.
 """

@@ -13,16 +13,8 @@ on the block's closing predecessors.
 A sum unit runs on ``T.aggregate``'s output, or reads a lone predecessor's
 output directly.  A concat unit builds no concatenation: its first op, a
 ``BnRelu``, takes the list of predecessor outputs and reads each one in place
-(Pleiss et al., arXiv 1707.06990).  A ``BnRelu`` that feeds a ``Conv``
-(both pairs of a bottleneck layer, and each transition) gets the conv's
-padding as its margin: it writes its output into the conv's zero-margined,
-channel-major operand, which the conv reads with no gather (Anderson et
-al., arXiv 1709.03395).  That output is released once the conv has run and
-rebuilt, operand and all, when the conv's backward reads it, so between
-forward and backward the graph keeps the layer outputs and per-channel
-statistics, not the ``BnRelu`` outputs (Chen et al., arXiv 1604.06174).
-The classifier's and an ImageNet stem's ``BnRelu`` feed a pool: they get
-no margin and are kept.
+(Pleiss et al., arXiv 1707.06990).  A ``BnRelu`` that feeds a ``Conv`` hands
+its output over as ``tensor``'s module docstring describes.
 """
 
 from __future__ import annotations

@@ -7,37 +7,46 @@ checker.  No op mutates its inputs; ``backward`` accumulates into the
 
 Retention rule: a backward closure keeps the op's inputs, its own output
 (relu, and batch norm with ``relu=True``, which masks ``g`` with it) and
-per-channel statistics, never a derived full-size buffer.  A planned
-``BnRelu`` is that one batch-norm node: the ReLU is applied as the output
-is written, so no pre-ReLU output is kept.  A ``BnRelu`` that feeds a conv
-writes its output into that conv's zero-margined operand (``batch_norm``'s
-``margin``), which the conv reads as it is.  Conv keeps ``x`` and ``w``
-and reads its operand again in backward (see ``conv2d``).  Average
-pooling adds and fills strided views and keeps only its input.  Batch
-norm rebuilds ``xhat`` from its input, mean and inverse std; given a
-concat unit's predecessors as a list, its inputs are those predecessors,
-so no concatenation is built or kept.
+per-channel statistics, never a derived full-size buffer.  Conv keeps ``x``
+and ``w`` and reads its operand again in backward.  Average pooling adds
+and fills strided views and keeps only its input.  Batch norm builds each
+input's ``xhat`` again from the input, mean and inverse std, in the buffer
+where it then builds that input's gradient; given a concat unit's
+predecessors as a list, its inputs are those predecessors, so no
+concatenation is built or kept.  The only derived arrays kept are
+output-sized ones: max-pool argmax indices and softmax probabilities.
 
-A recorded batch-norm output can also be rebuilt whole, bit for bit, from
-its inputs and statistics.  ``_release`` drops such an array, with the
-operand it views, and the next backward step that reads it through
-``_data`` rebuilds it.  The executor releases every ``BnRelu`` output once
-the conv that reads it has run, so what a training step keeps alive
-between forward and backward is the layer outputs plus per-channel
-statistics.  One unit's backward adds to that: the conv's output gradient
-and its zero-margined copy, the rebuilt operand, the tap stack, at most
-one image's plus one chunk's operand gradient, the input gradient it is
-folded into, and then batch norm's per-part ``dx``.  The only derived
-arrays kept are output-sized ones: max-pool argmax indices and softmax
-probabilities.
+The batch-norm to conv hand-off.  A planned ``BnRelu`` is one batch-norm
+node: the ReLU is applied as the output is written, so no pre-ReLU output
+exists.  When a conv at padding m reads that output,
+``batch_norm(..., margin=m)`` writes it into the conv's zero-margined,
+channel-major operand (C, N, H+2m, W+2m), and the output's ``data`` is the
+NCHW view of the operand's interior.  ``conv2d`` reads that operand as it
+is, with no gather; it gathers any other input with ``K.im2col``, and never
+infers an operand from strides.  One routine, ``make`` in ``batch_norm``,
+writes every batch-norm output: training hands it the centred batch, built
+whole because the variance's bits depend on the layout it reads, while
+eval and the rebuild centre one part at a time.  The output, its operand
+and ``make`` live in one holder, ``_Rebuildable``.  ``_release`` drops the
+output and its operand, and the next backward step that reads them
+through ``_data`` has ``make`` write them again, bit for bit (the
+recompute of Chen et al., arXiv 1604.06174).  The executor releases every
+``BnRelu`` output once the conv that reads it has run, so what a training
+step keeps alive between forward and backward is the layer outputs plus
+per-channel statistics.  One unit's backward adds to that: the conv's
+output gradient until its zero-margined copy holds it, that copy, the
+rebuilt operand, the tap stack, at most one image's plus one chunk's
+operand gradient, the input gradient that ``K.col2im`` folds them into,
+and then batch norm's per-part ``dx``.
 
-Gradient ownership: each backward closure owns the gradient it is handed
-and may overwrite it.  ``accumulate_grad`` takes ownership of what it is
-given: it adds into an existing ``.grad``, adopts an array that owns its
-memory and is C-contiguous with the data's dtype and shape, and copies
-anything else into a C-order array.  So an op hands over arrays it built
-and passes views (concat slices, one view of a shared gradient per
-parent), which are copied.
+Gradient ownership: each backward closure owns the gradient it is handed,
+and the sweep keeps no reference to it, so the closure may overwrite it or
+free it early.  ``accumulate_grad`` takes ownership of what it is given:
+it adds into an existing ``.grad``, adopts an array that owns its memory
+and is C-contiguous with the data's dtype and shape, and copies anything
+else into a C-order array.  So an op hands over arrays it built and
+passes views (concat slices, one view of a shared gradient per parent),
+which are copied.
 
 Set ``SPARSEAGG_DEBUG=1`` (or call ``set_debug(True)``) to assert every op
 output is finite and to warn when batch norm is evaluated before any
@@ -101,8 +110,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild",
-                 "_operand")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -113,10 +121,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
-        self._rebuild: _Rebuildable | None = None
-        # A zero-margined (C, N, H+2m, W+2m) array whose interior ``data`` views:
-        # set by ``batch_norm(..., margin=m)``, read by ``conv2d`` at padding m.
-        self._operand: np.ndarray | None = None
+        self._rebuild: _Rebuildable | None = None  # set on batch-norm outputs
 
     @property
     def shape(self):
@@ -183,8 +188,7 @@ class Tensor:
             if node._backward is None or node.grad is None:
                 continue
             if free_graph:
-                g, node.grad = node.grad, None
-                node._backward(g)
+                node._backward(_take_grad(node))
                 node._backward = node._rebuild = None
                 node._parents = ()
             else:
@@ -192,6 +196,12 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _take_grad(node: Tensor) -> np.ndarray:
+    """Clear ``node.grad`` and return it: the closure it is passed to holds the only reference."""
+    g, node.grad = node.grad, None
+    return g
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
@@ -216,32 +226,34 @@ def _check_float(t: Tensor, name: str, op: str) -> None:
 
 
 class _Rebuildable:
-    """A recorded op's output that ``_release`` may drop and ``_data`` rebuilds.
+    """A batch-norm output ``out``, the zero-margined ``operand`` it views (or None), and ``make``.
 
     Shared by the output Tensor (its ``_rebuild`` slot) and the op's backward
     closure, which reads ``out`` from here: a closure that held the output
-    Tensor would make a reference cycle.  ``make()`` returns the output
-    again, bit for bit, and the operand it is a view of (or None).
+    Tensor would make a reference cycle.  ``make()`` writes ``out`` and
+    ``operand`` again, bit for bit; it is None when no graph was recorded.
     """
 
-    __slots__ = ("out", "make")
+    __slots__ = ("out", "operand", "make")
 
-    def __init__(self, out: np.ndarray, make):
+    def __init__(self, out: np.ndarray, operand: np.ndarray | None, make):
         self.out = out
+        self.operand = operand
         self.make = make
 
 
 def _release(t: Tensor) -> None:
-    """Drop ``t``'s array until backward reads it; a no-op unless ``t`` is rebuildable."""
-    if t._rebuild is not None:
-        t.data = t._rebuild.out = t._operand = None
+    """Drop ``t``'s array and operand until backward reads them, if ``t`` can be rebuilt."""
+    saved = t._rebuild
+    if saved is not None and saved.make is not None:
+        t.data = saved.out = saved.operand = None
 
 
 def _data(t: Tensor) -> np.ndarray:
     """``t.data``, rebuilt first if ``_release`` dropped it."""
     if t.data is None:
         saved = t._rebuild
-        saved.out, t._operand = saved.make()
+        saved.out, saved.operand = saved.make()
         t.data = saved.out
     return t.data
 
@@ -256,10 +268,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     The output size is floored, ``oh = (H + 2 * padding - kh) // stride + 1``,
     as the planner sizes it.  The conv reads shifted views of a zero-padded,
     channel-major operand (C, N, Hp, Wp) of ``x`` (Anderson et al., arXiv
-    1709.03395), so no patch matrix is built at any kernel size or stride.
-    A ``batch_norm(..., margin=padding)`` output already sits in such an
-    operand, which the conv reads as it is; any other input is gathered by
-    ``K.im2col``.  Window origin q of the flat operand (C, N*Hp*Wp) gets
+    1709.03395), so no patch matrix is built at any kernel size or stride;
+    the module docstring says where the operand comes from.  Window origin
+    q of the flat operand (C, N*Hp*Wp) gets
     ``sum_t W_t @ operand[:, q + offset_t]`` over the kernel taps
     t = (ky, kx), ``offset_t = ky * Wp + kx``, on the dense (O, N, Hp, Wp)
     grid of origins; the output is the grid's ``[::stride, ::stride]``
@@ -281,10 +292,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     Both directions use one chunk width per call, ``_chunk_columns``: a tap
     stack no larger than the operand, 1024 to 4096 columns wide.  Backward
-    reads the operand again rather than keeping it (a margined input is
-    rebuilt in place of its operand, any other one gathered again), and
-    frees the tap stack before returning.  It reads ``x``'s array when it
-    runs, through ``_data``, so ``x`` may have been released after forward.
+    reads ``x`` and its operand again, through ``_data``, so ``x`` may have
+    been released after forward.
     """
     _check_float(x, "x", "conv2d")
     _check_float(w, "w", "conv2d")
@@ -336,14 +345,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         # The gradient grid sits after `lead` zero columns and ends in zeros, so
         # G[(t, o), q] = g_grid[o, q - offsets[t]] is a plain slice for every
         # operand column q; each chunk stacks its kh*kw slices and runs two GEMMs.
-        # x's array is read now, not in forward: _release may have dropped it.
-        # It is rebuilt even when only x needs a gradient, since
+        # x is rebuilt even when only x needs a gradient, since
         # accumulate_grad reads its shape and dtype.
         _data(x)
         width, lead, image = n * hp * wp, offsets[-1], hp * wp
         covered = (oh, ow) == (hp, wp)  # 1x1, unpadded: no margin to zero
         g_pad = (np.empty if covered else np.zeros)((o, lead + width), dtype=dtype)
         g_pad[:, lead:].reshape(o, n, hp, wp)[corner] = g.transpose(1, 0, 2, 3)
+        del g  # the sweep keeps no reference to it
         operand = _operand(x, padding).reshape(c, -1) if w.requires_grad else None
         w_cat = _tap_weights(w.data)
         dw = np.zeros_like(w_cat) if w.requires_grad else None
@@ -390,8 +399,9 @@ def _operand(x: Tensor, padding: int) -> np.ndarray:
     by ``K.im2col``: an operand is never inferred from strides.
     """
     n, c, h, w = x.data.shape
-    if x._operand is not None and x._operand.shape == (c, n, h + 2 * padding, w + 2 * padding):
-        return x._operand
+    operand = x._rebuild.operand if x._rebuild is not None else None
+    if operand is not None and operand.shape == (c, n, h + 2 * padding, w + 2 * padding):
+        return operand
     return K.im2col(x.data, padding)
 
 
@@ -443,27 +453,9 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     ``state`` at ``BN_MOMENTUM``; eval mode uses the running statistics.
 
     ``relu=True`` makes the pair one node with the bits of
-    ``relu(batch_norm(...))``: forward applies the ReLU as it writes the
-    output, so no pre-ReLU output is kept, and backward masks ``g`` with
-    ``out > 0`` before the batch-norm backward.
-
-    ``margin=m`` writes the output into the zero-margined, channel-major
-    operand (C, N, H+2m, W+2m) that ``conv2d`` at padding m reads: the
-    output's ``data`` is the NCHW view of the operand's interior, and the
-    conv reads the operand as it is, with no gather.  Training still
-    centres the whole batch in an NCHW buffer first, since the variance's
-    bits depend on the layout it reads, and writes the operand from it
-    with the ReLU.
-
-    Eval mode, and the rebuild below, write the output per part through
-    one part-sized scratch buffer: subtract the mean, ``*= inv``,
-    ``*= gamma``, then ``+= beta``, cast and ReLU, the training forward's
-    op sequence, so the bits are the same.  When a graph is recorded the
-    output can be released (``_release``) and is rebuilt that way, into a
-    fresh operand when it has a margin, when backward first reads it.
-    Backward builds each part's ``xhat`` again from the part, in the
-    buffer where it then builds that part's ``dx``: nothing derived from
-    the inputs is kept between the rebuild and backward.
+    ``relu(batch_norm(...))``; backward masks ``g`` with ``out > 0``.
+    ``margin=m`` writes the output into the operand of a conv at padding m,
+    as the module docstring describes.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if not parts:
@@ -490,10 +482,10 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
         mu = _channel_means(parts)
         # The centred batch, built whole in NCHW order: einsum's bits
         # depend on the layout it reads.
-        out = np.empty((n, c, h, w), dtype=np.result_type(dtype, mu.dtype))
+        centred = np.empty((n, c, h, w), dtype=np.result_type(dtype, mu.dtype))
         for p, lo, hi in spans:
-            np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=out[:, lo:hi])
-        var = np.einsum("nchw,nchw->c", out, out) / count
+            np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=centred[:, lo:hi])
+        var = np.einsum("nchw,nchw->c", centred, centred) / count
         m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.running_var.dtype)
@@ -503,41 +495,38 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
             warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
                           RuntimeWarning, stacklevel=2)
         mu, var = state.running_mean, state.running_var
+        centred = None
     inv4 = (1.0 / np.sqrt(var + BN_EPS)).reshape(1, c, 1, 1)
 
-    def finish(src, dst):
-        src = src.astype(dtype, copy=False)
-        if relu:
-            np.maximum(src, 0, out=dst)  # propagates NaN, as relu() does
-        elif dst is not src:
-            np.copyto(dst, src)
-
-    def make():
-        y, operand = _bn_output((n, c, h, w), dtype, margin)
-        scratch = np.empty(n * max(hi - lo for _, lo, hi in spans) * h * w,
-                           dtype=np.result_type(dtype, mu.dtype))
-        for p, lo, hi in spans:
-            part = scratch[:p.data.size].reshape(p.data.shape)
-            np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=part)
-            part *= inv4[:, lo:hi]
-            part *= g4[:, lo:hi]
-            part += b4[:, lo:hi]
-            finish(part, y[:, lo:hi])
+    def make(centred=None):
+        """The output, and the operand it views or None, from ``centred`` or else the parts."""
+        if margin is not None:
+            operand = np.zeros((c, n, h + 2 * margin, w + 2 * margin), dtype=dtype)
+            y = operand[:, :, margin:margin + h, margin:margin + w].transpose(1, 0, 2, 3)
+        elif centred is not None:
+            operand, y = None, centred  # written in place
+        else:
+            operand, y = None, np.empty((n, c, h, w), dtype=dtype)
+        if centred is None:  # centre one part at a time, in one part-sized buffer
+            scratch = np.empty(n * max(hi - lo for _, lo, hi in spans) * h * w,
+                               dtype=np.result_type(dtype, mu.dtype))
+        for p, lo, hi in spans if centred is None else [(None, 0, c)]:
+            src = centred
+            if p is not None:
+                src = scratch[:p.data.size].reshape(p.data.shape)
+                np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=src)
+            src *= inv4[:, lo:hi]
+            src *= g4[:, lo:hi]
+            src += b4[:, lo:hi]
+            src = src.astype(dtype, copy=False)
+            if relu:
+                np.maximum(src, 0, out=y[:, lo:hi])  # propagates NaN, as relu() does
+            elif src is not y:
+                np.copyto(y[:, lo:hi], src)
         return y, operand
 
-    if training:
-        # The centred buffer becomes xhat, then gamma * xhat + beta, in place.
-        out *= inv4
-        out *= g4
-        out += b4
-        out = out.astype(dtype, copy=False)
-        y, operand = (out, None) if margin is None else _bn_output(out.shape, dtype, margin)
-        finish(out, y)
-        del out
-    else:
-        y, operand = make()
-
-    saved = _Rebuildable(y, make)
+    saved = _Rebuildable(*make(centred), make)
+    del centred
 
     def backward(g):
         if relu:
@@ -569,20 +558,11 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
         if gamma.requires_grad:
             gamma.accumulate_grad(sum_gx)
 
-    result = _result(y, (*parts, gamma, beta), backward, "batch_norm")
-    result._operand = operand
-    if result.requires_grad:
-        result._rebuild = saved
+    result = _result(saved.out, (*parts, gamma, beta), backward, "batch_norm")
+    result._rebuild = saved
+    if not result.requires_grad:
+        saved.make = None
     return result
-
-
-def _bn_output(shape: tuple, dtype, margin: int | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """A fresh NCHW output and, with a margin m, the zeroed (C, N, H+2m, W+2m) operand it views."""
-    if margin is None:
-        return np.empty(shape, dtype=dtype), None
-    n, c, h, w = shape
-    operand = np.zeros((c, n, h + 2 * margin, w + 2 * margin), dtype=dtype)
-    return operand[:, :, margin:margin + h, margin:margin + w].transpose(1, 0, 2, 3), operand
 
 
 def _channel_means(parts: tuple[Tensor, ...]) -> np.ndarray:

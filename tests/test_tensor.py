@@ -972,8 +972,8 @@ def same_or_none(a, b):
     return (a is None and b is None) or (a is not None and b is not None and same_bits(a, b))
 
 
-def bn_relu_conv(case, seed, parts_of, conv, flags, released, margin=None):
-    """The graph of conv2d(batch_norm(parts, ..., relu=True, margin), w), its leaves and a seed gradient.
+def bn_relu_conv(case, seed, parts_of, conv, flags, released, margin=None, relu_on=True):
+    """The graph of conv2d(batch_norm(parts, ..., relu_on, margin), w), its leaves and a seed gradient.
 
     With ``released`` the BnRelu output's array is dropped after the conv,
     as ``Network`` does, and the conv's backward rebuilds it.
@@ -987,7 +987,7 @@ def bn_relu_conv(case, seed, parts_of, conv, flags, released, margin=None):
     gt = Tensor(gamma.copy(), requires_grad=flags[2])
     bt = Tensor(beta.copy(), requires_grad=True)
     state = make_state()
-    y = batch_norm(parts, gt, bt, state, not case.startswith("eval"), relu=True, margin=margin)
+    y = batch_norm(parts, gt, bt, state, not case.startswith("eval"), relu=relu_on, margin=margin)
     out = conv2d(y, wt, stride, padding)
     if released:
         tensor_module._release(y)
@@ -1008,14 +1008,18 @@ def run_bn_relu_conv(*args, **kwargs):
 @pytest.mark.parametrize("parts_of", sorted(PAIR_PARTS))
 @pytest.mark.parametrize("case", ["train", "eval"])
 @pytest.mark.parametrize("margin", ["none", "same", "other"])
-def test_released_bn_relu_conv_matches_kept_bit_for_bit(margin, case, parts_of, conv, flags):
-    # Released, and with the BnRelu output written into the conv's operand
+@pytest.mark.parametrize("relu_on", [True, False], ids=["relu", "no_relu"])
+def test_released_bn_relu_conv_matches_kept_bit_for_bit(relu_on, margin, case, parts_of, conv,
+                                                        flags):
+    # Released, and with the batch-norm output written into the conv's operand
     # ("same") or into an operand of another padding that the conv does not
-    # read ("other"), against the output kept as a plain NCHW array.
+    # read ("other"), against the output kept as a plain NCHW array; with
+    # and without the ReLU.
     margin = {"none": None, "same": conv[2], "other": conv[2] + 1}[margin]
-    kept = run_bn_relu_conv(case, 0, PAIR_PARTS[parts_of], conv, flags, released=False)
+    kept = run_bn_relu_conv(case, 0, PAIR_PARTS[parts_of], conv, flags, released=False,
+                            relu_on=relu_on)
     released = run_bn_relu_conv(case, 0, PAIR_PARTS[parts_of], conv, flags, released=True,
-                                margin=margin)
+                                margin=margin, relu_on=relu_on)
     for got, ref in zip(released, kept):
         assert same_or_none(got, ref)
 
