@@ -24,20 +24,20 @@ channel-major operand (C, N, H+2m, W+2m), and the output's ``data`` is the
 NCHW view of the operand's interior.  ``conv2d`` reads that operand as it
 is, with no gather; it gathers any other input with ``K.im2col``, and never
 infers an operand from strides.  One routine, ``make`` in ``batch_norm``,
-writes every batch-norm output: training hands it the centred batch, built
-whole because the variance's bits depend on the layout it reads, while
-eval and the rebuild centre one part at a time.  The output, its operand
-and ``make`` live in one holder, ``_Rebuildable``.  ``_release`` drops the
-output and its operand, and the next backward step that reads them
-through ``_data`` has ``make`` write them again, bit for bit (the
-recompute of Chen et al., arXiv 1604.06174).  The executor releases every
-``BnRelu`` output once the conv that reads it has run, so what a training
-step keeps alive between forward and backward is the layer outputs plus
-per-channel statistics.  One unit's backward adds to that: the conv's
-output gradient until its zero-margined copy holds it, that copy, the
-rebuilt operand, the tap stack, at most one image's plus one chunk's
-operand gradient, the input gradient that ``K.col2im`` folds them into,
-and then batch norm's per-part ``dx``.
+writes every batch-norm output, one part at a time.  Every batch-norm
+statistic is summed per (image, channel) plane and then over the images in
+order, so its bits do not depend on how the channels are split into parts.
+The output, its operand and ``make`` live in one holder, ``_Rebuildable``.
+``_release`` drops the output and its operand, and the next backward step
+that reads them through ``_data`` has ``make`` write them again, bit for
+bit (the recompute of Chen et al., arXiv 1604.06174).  The executor
+releases every ``BnRelu`` output once the conv that reads it has run, so
+what a training step keeps alive between forward and backward is the
+layer outputs plus per-channel statistics.  One unit's backward adds to
+that: the conv's output gradient until its zero-margined copy holds it,
+that copy, the rebuilt operand, the tap stack, at most one image's plus
+one chunk's operand gradient, the input gradient that ``K.col2im`` folds
+them into, and then batch norm's per-part ``dx``.
 
 Gradient ownership: each backward closure owns the gradient it is handed,
 and the sweep keeps no reference to it, so the closure may overwrite it or
@@ -159,7 +159,8 @@ class Tensor:
         ``free_graph`` the node's ``.grad`` is cleared before the call and
         its closure and parent links after it, so activations are freed
         during the sweep; without it the closure gets a copy.  Leaf tensors
-        (parameters, inputs) keep ``.grad``; ``grad`` itself is copied.
+        (parameters, inputs) keep ``.grad``; ``grad`` itself is copied and
+        must have this tensor's shape.
         """
         if not self.requires_grad:
             raise ValueError("backward on a tensor that does not require grad")
@@ -167,6 +168,9 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward without an explicit gradient needs a scalar tensor")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ValueError(f"backward seed has shape {np.shape(grad)}, "
+                             f"tensor has {self.data.shape}")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -446,8 +450,10 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     ``x`` is one tensor or a sequence of NCHW tensors standing for their
     channel concatenation, in order (a concat unit's predecessors).  The
     parts are read in place: no concatenation is built, and backward hands
-    each part a gradient of its own.  The bits are those of batch norm over
-    ``aggregate("concat", x)``.
+    each part a gradient of its own.  Each statistic is summed per (image,
+    channel) plane and then over the images in order, which gives the bits
+    of batch norm over ``aggregate("concat", x)`` whenever that has two or
+    more channels.
 
     Training mode normalizes by batch statistics (biased variance) and updates
     ``state`` at ``BN_MOMENTUM``; eval mode uses the running statistics.
@@ -479,68 +485,67 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     spans = list(zip(parts, bounds[:-1], bounds[1:]))
 
     if training:
-        mu = _channel_means(parts)
-        # The centred batch, built whole in NCHW order: einsum's bits
-        # depend on the layout it reads.
-        centred = np.empty((n, c, h, w), dtype=np.result_type(dtype, mu.dtype))
-        for p, lo, hi in spans:
-            np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=centred[:, lo:hi])
-        var = np.einsum("nchw,nchw->c", centred, centred) / count
-        m = BN_MOMENTUM
-        state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.running_mean.dtype)
-        state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.running_var.dtype)
-        state.steps += 1
+        mu = np.concatenate([_over_images(p.data.sum(axis=(2, 3))) for p in parts])
+        # as ``mean`` does: divide by an intp count, in float64 for a float32 sum
+        np.true_divide(mu, np.intp(count), out=mu, casting="unsafe")
+        var, inv = np.empty_like(mu), np.empty_like(mu)  # measured by the first make()
     else:
         if state.steps == 0 and _DEBUG:
             warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
                           RuntimeWarning, stacklevel=2)
         mu, var = state.running_mean, state.running_var
-        centred = None
-    inv4 = (1.0 / np.sqrt(var + BN_EPS)).reshape(1, c, 1, 1)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+    inv4 = inv.reshape(1, c, 1, 1)
 
-    def make(centred=None):
-        """The output, and the operand it views or None, from ``centred`` or else the parts."""
+    def make(measure=False):
+        """The output and the operand it views (or None); ``measure`` also fills ``var`` and ``inv``."""
         if margin is not None:
             operand = np.zeros((c, n, h + 2 * margin, w + 2 * margin), dtype=dtype)
             y = operand[:, :, margin:margin + h, margin:margin + w].transpose(1, 0, 2, 3)
-        elif centred is not None:
-            operand, y = None, centred  # written in place
         else:
             operand, y = None, np.empty((n, c, h, w), dtype=dtype)
-        if centred is None:  # centre one part at a time, in one part-sized buffer
-            scratch = np.empty(n * max(hi - lo for _, lo, hi in spans) * h * w,
-                               dtype=np.result_type(dtype, mu.dtype))
-        for p, lo, hi in spans if centred is None else [(None, 0, c)]:
-            src = centred
-            if p is not None:
-                src = scratch[:p.data.size].reshape(p.data.shape)
-                np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=src)
+        # each part is centred in turn in one part-sized buffer
+        scratch = np.empty(n * max(hi - lo for _, lo, hi in spans) * h * w,
+                           dtype=np.result_type(dtype, mu.dtype))
+        for p, lo, hi in spans:
+            src = scratch[:p.data.size].reshape(p.data.shape)
+            np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=src)
+            if measure:
+                var[lo:hi] = _over_images(np.einsum("nchw,nchw->nc", src, src)) / count
+                inv[lo:hi] = 1.0 / np.sqrt(var[lo:hi] + BN_EPS)
             src *= inv4[:, lo:hi]
             src *= g4[:, lo:hi]
             src += b4[:, lo:hi]
             src = src.astype(dtype, copy=False)
             if relu:
                 np.maximum(src, 0, out=y[:, lo:hi])  # propagates NaN, as relu() does
-            elif src is not y:
+            else:
                 np.copyto(y[:, lo:hi], src)
         return y, operand
 
-    saved = _Rebuildable(*make(centred), make)
-    del centred
+    saved = _Rebuildable(*make(measure=training), make)
+    if training:
+        m = BN_MOMENTUM
+        state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.running_mean.dtype)
+        state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.running_var.dtype)
+        state.steps += 1
+    del var  # written once, by the first make(); its closure need not keep it
 
     def backward(g):
-        if relu:
-            np.multiply(g, saved.out > 0, out=g)
-        sum_g = np.einsum("nchw->c", g)
+        sum_g = np.empty(c, dtype=g.dtype)
         sum_gx = np.empty_like(sum_g)
         scale = g4 * inv4
-        # Per part, in the channel order: xhat from the part, then the
-        # part's dx built in xhat's buffer and handed over.
+        # Per part, in the channel order: the part's gradient masked and
+        # summed, xhat from the part, then the part's dx built in xhat's
+        # buffer and handed over.
         for p, lo, hi in spans:
             gp = g[:, lo:hi]
+            if relu:
+                np.multiply(gp, saved.out[:, lo:hi] > 0, out=gp)
+            sum_g[lo:hi] = _over_images(np.einsum("nchw->nc", gp))
             xhat = p.data - mu[lo:hi].reshape(1, -1, 1, 1)
             xhat *= inv4[:, lo:hi]
-            sum_gx[lo:hi] = np.einsum("nchw,nchw->c", gp, xhat)
+            sum_gx[lo:hi] = _over_images(np.einsum("nchw,nchw->nc", gp, xhat))
             if not p.requires_grad:
                 continue
             if not training:
@@ -565,20 +570,9 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     return result
 
 
-def _channel_means(parts: tuple[Tensor, ...]) -> np.ndarray:
-    """Per-channel batch means of the parts' channel concatenation.
-
-    The bits are those of the concatenation's ``mean(axis=(0, 2, 3))``.
-    numpy sums each image's H*W plane pairwise and adds the images in turn,
-    but merges the planes of a one-channel array into one pairwise run, so
-    each part's sums are spelt out in the order of a wider array.
-    """
-    if len(parts) == 1:
-        return parts[0].data.mean(axis=(0, 2, 3))
-    n, _, h, w = parts[0].data.shape
-    sums = np.concatenate([np.add.accumulate(p.data.sum(axis=(2, 3)), axis=0)[-1] for p in parts])
-    # as ``mean`` does: divide by an intp count, in float64 for a float32 sum
-    return np.true_divide(sums, np.intp(n * h * w), out=sums, casting="unsafe")
+def _over_images(planes: np.ndarray) -> np.ndarray:
+    """Per-channel totals of (N, C) per-plane sums, adding the images in order."""
+    return np.add.accumulate(planes, axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,19 @@ def load_tool():
     return module
 
 
-def test_fingerprint_is_deterministic_and_follows_the_seed(capsys):
+def test_fingerprint_is_deterministic_and_follows_the_seed(capsys, monkeypatch):
+    # stderr names the BLAS thread count, which the digests depend on
     tool = load_tool()
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     assert tool.main(["sparse_bc_tiny_cifar", "--batch-size", "2"]) == 0
-    name, batch, digest = capsys.readouterr().out.split()
+    out, err = capsys.readouterr()
+    assert err.rstrip().endswith("OPENBLAS_NUM_THREADS=unset")
+    name, batch, digest = out.split()
     assert (name, batch, len(digest)) == ("sparse_bc_tiny_cifar", "b2", 64)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read, not applied, once numpy is loaded
+    assert tool.main(["sparse_bc_tiny_cifar", "--batch-size", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err.rstrip().endswith("OPENBLAS_NUM_THREADS=1")
+    assert out.split()[2] == digest
     spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
-    assert tool.fingerprint(spec, 2) == digest
     assert tool.fingerprint(spec, 2, seed=1) != digest

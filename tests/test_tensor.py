@@ -369,6 +369,15 @@ def test_backward_needs_scalar_without_seed():
         y.backward()
 
 
+def test_backward_rejects_a_seed_of_another_shape():
+    # a seed of another shape used to be broadcast into the gradient
+    x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    for seed in (np.float32(2.0), np.ones(3, np.float32), np.ones((3, 2), np.float32)):
+        with pytest.raises(ValueError, match="seed has shape"):
+            relu(x).backward(seed)
+    assert x.grad is None
+
+
 def test_backward_frees_intermediate_gradients():
     x = t64(np.ones((1, 1, 2, 2)))
     y = relu(x)
@@ -917,10 +926,12 @@ def test_fused_bn_relu_matches_relu_of_batch_norm_bit_for_bit(case, seed):
 # The first part has one channel: numpy sums the planes of a one-channel
 # array in another order than those of a wider one.
 PART_CHANNELS = ((0, 1), (1, 4), (4, 6))
+SPLITS = {"1+3+2": PART_CHANNELS, "1x6": tuple((i, i + 1) for i in range(6)),
+          "5+1": ((0, 5), (5, 6))}
 
 
-def run_bn_of_parts(x, gamma, beta, g, state, training, relu_on, listed):
-    parts = [Tensor(x[:, lo:hi].copy(), requires_grad=True) for lo, hi in PART_CHANNELS]
+def run_bn_of_parts(x, gamma, beta, g, state, training, relu_on, parts_of, listed):
+    parts = [Tensor(x[:, lo:hi].copy(), requires_grad=True) for lo, hi in parts_of]
     gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (gamma, beta))
     if listed:
         out = batch_norm(parts, gt, bt, state, training, relu=relu_on)
@@ -934,17 +945,78 @@ def run_bn_of_parts(x, gamma, beta, g, state, training, relu_on, listed):
             state.running_var]
 
 
+@pytest.mark.parametrize("split", sorted(SPLITS))
 @pytest.mark.parametrize("relu_on", [True, False])
 @pytest.mark.parametrize("case", ["train", "eval", "eval_float64_stats", "nan",
                                   "constant_channel"])
 @pytest.mark.parametrize("seed", range(3))
-def test_batch_norm_of_parts_matches_batch_norm_of_concat_bit_for_bit(case, relu_on, seed):
+def test_batch_norm_of_parts_matches_batch_norm_of_concat_bit_for_bit(case, relu_on, split, seed):
     x, gamma, beta, g, make_state = bn_relu_inputs(case, seed)
     training = not case.startswith("eval")
-    listed = run_bn_of_parts(x, gamma, beta, g, make_state(), training, relu_on, listed=True)
-    concat = run_bn_of_parts(x, gamma, beta, g, make_state(), training, relu_on, listed=False)
+    parts_of = SPLITS[split]
+    listed = run_bn_of_parts(x, gamma, beta, g, make_state(), training, relu_on, parts_of, True)
+    concat = run_bn_of_parts(x, gamma, beta, g, make_state(), training, relu_on, parts_of, False)
     for got, ref in zip(listed, concat):
         assert same_bits(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(64, 136, 32, 32), (8, 5, 7, 7), (4, 2, 56, 56)])
+def test_per_plane_then_images_sums_match_whole_array_reductions_bit_for_bit(shape, dtype):
+    # batch_norm sums each (image, channel) plane and then the images in
+    # order; numpy's whole-array mean and einsum over two or more channels
+    # give the same bits, for any split into parts and in a channel-major
+    # copy.  A numpy whose reductions change order fails here by name.
+    rng = np.random.default_rng(31)
+    x = (rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    n, c, h, w = shape
+    over = tensor_module._over_images
+    means = x.mean(axis=(0, 2, 3))
+    squares = np.einsum("nchw,nchw->c", x, x)
+    sums_g = np.einsum("nchw->c", g)
+    sums_gx = np.einsum("nchw,nchw->c", g, x)
+    for split in ([(0, c)], [(0, 1), (1, c)], [(lo, lo + 1) for lo in range(c)]):
+        got = {"mean": [], "squares": [], "g": [], "gx": []}
+        for lo, hi in split:
+            part, gp = x[:, lo:hi].copy(), g[:, lo:hi]  # as batch_norm reads them
+            got["mean"].append(over(part.sum(axis=(2, 3))))
+            got["squares"].append(over(np.einsum("nchw,nchw->nc", part, part)))
+            got["g"].append(over(np.einsum("nchw->nc", gp)))
+            got["gx"].append(over(np.einsum("nchw,nchw->nc", gp, part)))
+        got = {k: np.concatenate(v) for k, v in got.items()}
+        np.true_divide(got["mean"], np.intp(n * h * w), out=got["mean"], casting="unsafe")
+        for name, ref in [("mean", means), ("squares", squares), ("g", sums_g), ("gx", sums_gx)]:
+            assert same_bits(got[name], ref), (name, len(split))
+    xc = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    gc = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+    assert same_bits(over(np.einsum("cnhw,cnhw->cn", xc, xc).T), squares)
+    assert same_bits(over(np.einsum("cnhw->cn", gc).T), sums_g)
+    assert same_bits(over(np.einsum("cnhw,cnhw->cn", gc, xc).T), sums_gx)
+    assert same_bits(over(xc.sum(axis=(2, 3)).T), over(x.sum(axis=(2, 3))))
+
+
+def test_training_batch_norm_of_parts_centres_one_part_at_a_time():
+    # 13 parts written into a margined operand.  The forward used to centre
+    # the whole batch in one buffer first: a peak of 1.89x the operand, and
+    # 1.09x with one part-sized buffer.
+    rng = np.random.default_rng(32)
+    widths = [16] + [12] * 12
+    parts = [Tensor(rng.standard_normal((16, k, 32, 32)).astype(np.float32), requires_grad=True)
+             for k in widths]
+    c = sum(widths)
+    gamma = Tensor(np.ones(c, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(c, np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = batch_norm(parts, gamma, beta, BatchNormState.create(c), training=True, relu=True,
+                         margin=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    operand = out._rebuild.operand
+    assert operand.shape == (c, 16, 34, 34)
+    assert peak < 1.25 * operand.nbytes, peak / operand.nbytes
 
 
 def test_batch_norm_rejects_parts_that_cannot_be_joined():

@@ -18,9 +18,10 @@ package in turn, with this same script:
     PYTHONPATH=src python tools/fingerprint.py > change.txt
     diff parent.txt change.txt && git worktree remove ../parent
 
-The package each run imported is printed on stderr.  The digests depend
-on the BLAS thread count (some GEMM shapes round differently with one
-thread than with two), so compare runs made with the same
+The package each run imported, and the ``OPENBLAS_NUM_THREADS`` it ran
+with (or ``unset``), are printed on stderr.  The digests depend on the
+BLAS thread count (some GEMM shapes round differently with one thread
+than with two), so compare runs made with the same
 ``OPENBLAS_NUM_THREADS``.
 """
 
@@ -81,7 +82,9 @@ def main(argv=None) -> int:
                         help="config names under configs/, without .json")
     parser.add_argument("--batch-size", type=int, default=64)
     args = parser.parse_args(argv)
-    print(f"sparseagg from {os.path.dirname(T.__file__)}", file=sys.stderr)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"sparseagg from {os.path.dirname(T.__file__)}, OPENBLAS_NUM_THREADS={threads}",
+          file=sys.stderr)
     for name in args.configs:
         spec = load_spec(os.path.join(ROOT, "configs", f"{name}.json"))
         print(f"{name} b{args.batch_size} {fingerprint(spec, args.batch_size)}", flush=True)
