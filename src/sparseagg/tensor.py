@@ -9,12 +9,13 @@ Retention rule: a backward closure keeps the op's inputs, its own output
 (relu, and batch norm with ``relu=True``, which masks ``g`` with it) and
 per-channel statistics, never a derived full-size buffer.  Conv keeps ``x``
 and ``w`` and reads its operand again in backward.  Average pooling adds
-and fills strided views and keeps only its input.  Batch norm builds each
-input's ``xhat`` again from the input, mean and inverse std, in the buffer
-where it then builds that input's gradient; given a concat unit's
-predecessors as a list, its inputs are those predecessors, so no
-concatenation is built or kept.  The only derived arrays kept are
-output-sized ones: max-pool argmax indices and softmax probabilities.
+and fills strided views and keeps its input's shape and dtype, which is all
+its backward reads.  Batch norm builds each input's ``xhat`` again from the
+input, mean and inverse std, in the buffer where it then builds that
+input's gradient; given a concat unit's predecessors as a list, its inputs
+are those predecessors, so no concatenation is built or kept.  The only
+derived arrays kept are output-sized ones: max-pool argmax indices and
+softmax probabilities.
 
 The batch-norm to conv hand-off.  A planned ``BnRelu`` is one batch-norm
 node: the ReLU is applied as the output is written, so no pre-ReLU output
@@ -31,13 +32,16 @@ The output, its operand and ``make`` live in one holder, ``_Rebuildable``.
 ``_release`` drops the output and its operand, and the next backward step
 that reads them through ``_data`` has ``make`` write them again, bit for
 bit (the recompute of Chen et al., arXiv 1604.06174).  The executor
-releases every ``BnRelu`` output once the conv that reads it has run, so
-what a training step keeps alive between forward and backward is the
-layer outputs plus per-channel statistics.  One unit's backward adds to
-that: the conv's output gradient until its zero-margined copy holds it,
-that copy, the rebuilt operand, the tap stack, at most one image's plus
-one chunk's operand gradient, the input gradient that ``K.col2im`` folds
-them into, and then batch norm's per-part ``dx``.
+releases every ``BnRelu`` output once the conv that reads it has run, and
+swaps each transition conv's output for a stand-in of its shape and dtype
+(``_keep_shape``) once the average pool that reads it has run.  So what a
+training step keeps alive between forward and backward is the layer
+outputs plus per-channel statistics: a transition keeps its pooled output,
+not its conv's.  One unit's backward adds to that: the conv's output
+gradient until its zero-margined copy holds it, that copy, the rebuilt
+operand, the tap stack, at most one image's plus one chunk's operand
+gradient, the input gradient that ``K.col2im`` folds them into, and then
+batch norm's per-part ``dx``.
 
 Gradient ownership: each backward closure owns the gradient it is handed,
 and the sweep keeps no reference to it, so the closure may overwrite it or
@@ -251,6 +255,15 @@ def _release(t: Tensor) -> None:
     saved = t._rebuild
     if saved is not None and saved.make is not None:
         t.data = saved.out = saved.operand = None
+
+
+def _keep_shape(t: Tensor) -> None:
+    """Swap ``t``'s array for a read-only zero-stride stand-in of its shape and dtype.
+
+    For an output whose readers still to come read only those, as
+    ``avg_pool2d``'s backward and ``accumulate_grad`` do.
+    """
+    t.data = np.broadcast_to(np.zeros((), dtype=t.data.dtype), t.data.shape)
 
 
 def _data(t: Tensor) -> np.ndarray:
@@ -597,14 +610,16 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     Adds the kernel**2 strided views ``x[:, :, ky::kernel, kx::kernel]``
     row by row onto zeros, then divides by kernel**2: the summation order
     and divisor of ``mean`` over the window axes, so the bits match it.
-    Backward writes ``g / kernel**2`` into the same views of one buffer.
+    Backward writes ``g / kernel**2`` into the same views of one buffer;
+    it reads only ``x``'s shape and dtype, so the executor may swap
+    ``x.data`` for a stand-in (``_keep_shape``) once the pool has run.
     """
     _check_float(x, "x", "avg_pool2d")
     n, c, h, w = x.data.shape
     if h % kernel or w % kernel:
         raise ValueError(f"avg_pool2d needs sizes divisible by {kernel}, got {h}x{w}")
-    xd = x.data
-    out = np.zeros((n, c, h // kernel, w // kernel), dtype=xd.dtype)
+    xd, dtype = x.data, x.data.dtype
+    out = np.zeros((n, c, h // kernel, w // kernel), dtype=dtype)
     row = np.empty_like(out)
     for ky in range(kernel):
         np.copyto(row, xd[:, :, ky::kernel, ::kernel])
@@ -617,7 +632,7 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     def backward(g):
         if x.requires_grad:
             share = g / (kernel * kernel)
-            dx = np.empty_like(xd)
+            dx = np.empty((n, c, h, w), dtype=dtype)
             for ky in range(kernel):
                 for kx in range(kernel):
                     dx[:, :, ky::kernel, kx::kernel] = share

@@ -9,10 +9,20 @@ import pytest
 
 from conftest import config_path
 from sparseagg import tensor as tensor_module
-from sparseagg.architecture import Conv, analyze, load_spec
+from sparseagg.architecture import (
+    BlockSpec,
+    Conv,
+    InputSpec,
+    NetworkSpec,
+    StemSpec,
+    analyze,
+    load_spec,
+    plan_network,
+)
 from sparseagg.errors import CheckpointError
+from sparseagg.gradcheck import check_gradients
 from sparseagg.model import ForwardStats, compile_network, load_checkpoint, save_checkpoint
-from sparseagg.tensor import conv2d, no_grad, save_array, softmax_cross_entropy
+from sparseagg.tensor import Tensor, conv2d, no_grad, save_array, softmax_cross_entropy
 from sparseagg.topology import Dense, Sparse
 from sparseagg.train import SGD
 
@@ -197,9 +207,12 @@ def training_step_peak(spec, n=16) -> int:
 def test_training_step_peak_stays_under_bound():
     # sparse_bc_tiny at batch 16: 66.97 MB when BnRelu ran as two nodes and
     # every first gradient was copied, 46.65 MB with one node and handover,
-    # 25.37 MB with each conv's BnRelu input rebuilt in backward.
+    # 25.37 MB with each conv's BnRelu input rebuilt in backward, 19.80 MB
+    # with batch norm writing each conv's operand and the conv freeing its
+    # output gradient early.  Dropping the transitions' pool inputs leaves it
+    # at 19.80 MB: the peak falls inside a bottleneck layer's backward.
     peak = training_step_peak(load_spec(config_path("sparse_bc_tiny_cifar.json")))
-    assert peak < 50_000_000, peak
+    assert peak < 21_500_000, peak
 
 
 def dense_wired_tiny():
@@ -225,9 +238,19 @@ def test_dense_wired_training_step_writes_each_conv_input_into_its_operand():
 def test_sum_plain_training_step_peak_stays_under_bound():
     # sum_plain_d12 at batch 16: 34.54 MB while every unit copied its lone
     # predecessor into a sum node, 25.62 MB reading it directly, 17.23 MB
-    # with each conv's BnRelu input rebuilt in backward.
+    # with each conv's BnRelu input rebuilt in backward, 16.61 MB with batch
+    # norm writing each conv's operand, 13.46 MB with each transition conv's
+    # output swapped for a stand-in of its shape once its pool has run.
     peak = training_step_peak(load_spec(config_path("sum_plain_d12_cifar.json")))
-    assert peak < 28_000_000, peak
+    assert peak < 15_000_000, peak
+
+
+def test_dense40_training_step_keeps_no_pool_input():
+    # dense40_k12 at batch 16: 62.27 MB while each transition kept its conv's
+    # full-resolution output for the pool's backward, which reads only its
+    # shape; 51.78 MB with that output swapped for a zero-stride stand-in.
+    peak = training_step_peak(load_spec(config_path("dense40_k12_cifar.json")))
+    assert peak < 56_000_000, peak
 
 
 def test_dropped_training_forward_leaves_no_reference_cycle():
@@ -319,6 +342,55 @@ def test_every_gradient_owns_its_memory_and_shares_it_with_none(family):
     assert all(g is not None for g in grads[True].values())
     for name, g in grads[True].items():
         np.testing.assert_array_equal(grads[False][name], g)
+
+
+def test_training_forward_keeps_only_the_shape_of_each_pool_input():
+    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0)
+    out = net.forward(batch(np.random.default_rng(1), 4), training=True)
+    pools = [t for t in graph_tensors(out)
+             if t._backward is not None and t._backward.__qualname__.startswith("avg_pool2d.")]
+    assert len(pools) == len(net.plan.blocks) - 1
+    for pool in pools:
+        (conv_out,) = pool._parents
+        assert conv_out.data.strides == (0, 0, 0, 0) and not conv_out.data.flags.writeable
+        assert not any(isinstance(cell.cell_contents, np.ndarray)
+                       for cell in pool._backward.__closure__)
+
+
+def tiny_fd_spec(family):
+    """Two blocks at 8x8, small enough for a finite-difference check of every parameter.
+
+    The concat transition is BnRelu -> Conv -> Pool("avg"), and its layers
+    are bottleneck ones, whose second BnRelu reads a conv's output in
+    backward; the sum transition, at equal widths, is BnRelu -> Pool("avg")
+    with no conv (criterion 5's spec).
+    """
+    if family == "concat":
+        block, extra = BlockSpec(num_layers=2, growth_rate=2), {"bottleneck": True,
+                                                                "compression": 0.5}
+    else:
+        block, extra = BlockSpec(num_layers=2, width=4), {}
+    return NetworkSpec(family=family, topology=Sparse(2), blocks=(block, block),
+                       stem=StemSpec(out_channels=4, kernel=3, stride=1), num_classes=10,
+                       input=InputSpec(8, 8, 3), **extra)
+
+
+@pytest.mark.parametrize("family,transition", [("concat", ("BnRelu", "Conv", "Pool")),
+                                               ("sum", ("BnRelu", "Pool"))])
+def test_training_forward_gradients_match_finite_differences(family, transition):
+    spec = tiny_fd_spec(family)
+    exit_ops = plan_network(spec).blocks[0].exit.ops
+    assert tuple(type(op).__name__ for op in exit_ops) == transition
+    net = compile_network(spec, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(1000)
+    x = rng.standard_normal((2, 3, 8, 8))
+    labels = rng.integers(0, 10, size=2)
+
+    def loss(*_):
+        return softmax_cross_entropy(net.forward(Tensor(x), training=True), labels)
+
+    report = check_gradients(loss, list(net.params.values()), tolerance=1e-4)
+    assert report.passed, report.per_input
 
 
 def test_plain_topology_keeps_constant_live_set():

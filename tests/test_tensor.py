@@ -214,6 +214,27 @@ def test_avg_pool_matches_former_mean_bit_for_bit(dtype, k, seed):
     assert same_bits(xt.grad, avg_pool_backward_reference(g, k))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 4])
+def test_avg_pool_gradient_is_the_same_with_its_input_swapped_for_a_stand_in(dtype, k):
+    # The executor swaps a transition conv's output for a zero-stride stand-in
+    # once its pool has run; the pool's backward reads only the shape and dtype.
+    rng = np.random.default_rng(1310 + k)
+    x = rng.standard_normal((3, 5, 8, 12)).astype(dtype)
+    g = rng.standard_normal((3, 5, 8 // k, 12 // k)).astype(dtype)
+    grads = []
+    for swapped in (False, True):
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = avg_pool2d(xt, k)
+        if swapped:
+            tensor_module._keep_shape(xt)
+            assert xt.data.strides == (0, 0, 0, 0) and not xt.data.flags.writeable
+        out.backward(g)
+        grads.append(xt.grad)
+    assert same_bits(grads[1], grads[0])
+    assert grads[1].flags.owndata and grads[1].flags.c_contiguous
+
+
 def test_avg_pool_requires_divisibility():
     with pytest.raises(ValueError):
         avg_pool2d(Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32)), 2)
