@@ -14,13 +14,13 @@ A sum unit runs on ``T.aggregate``'s output, or reads a lone predecessor's
 output directly.  A concat unit builds no concatenation: its first op, a
 ``BnRelu``, takes the list of predecessor outputs and reads each one in place
 (Pleiss et al., arXiv 1707.06990).  A ``BnRelu`` that feeds a ``Conv`` hands
-its output over as ``tensor``'s module docstring describes, and is released
-once the conv has run.  A transition's ``Conv`` output is read only by the
-``Pool("avg")`` after it, whose backward needs only its shape and dtype, so
-it is swapped for a zero-stride stand-in once the pool has run.  Between
-forward and backward a training step therefore keeps each unit's output,
-each bottleneck's 1x1 conv output, the ``BnRelu`` outputs that no conv
-reads, and per-channel statistics.
+its output over as ``tensor``'s module docstring describes.  One rule frees
+activations: every ``Conv`` or ``Pool`` that is not its unit's first op
+releases its input once it has run.  That input is a ``BnRelu`` output,
+which batch norm rebuilds bit for bit in backward, or a transition conv's
+output, whose pool's backward reads only its shape.  Between forward and
+backward a training step therefore keeps each unit's output, each
+bottleneck's 1x1 conv output and per-channel statistics.
 """
 
 from __future__ import annotations
@@ -122,14 +122,11 @@ class Network:
         return T.global_avg_pool(x)
 
     def _unit(self, unit: Unit, x: Tensor | list[Tensor], training: bool) -> Tensor:
-        prev = None
-        for op, then in zip(unit.ops, (*unit.ops[1:], None)):
+        for i, (op, then) in enumerate(zip(unit.ops, (*unit.ops[1:], None))):
             y = self._op(op, x, training, then)
-            if isinstance(op, Conv):
-                T._release(x)  # a BnRelu output: the conv's backward rebuilds it
-            elif isinstance(prev, Conv) and isinstance(op, Pool) and op.kind == "avg":
-                T._keep_shape(x)  # a transition conv's output: the pool's backward reads its shape
-            prev, x = op, y
+            if i and isinstance(op, (Conv, Pool)):
+                T._release(x)  # read again only as a rebuilt BnRelu output, or for its shape
+            x = y
         return x
 
     def _gather(self, cache: dict[int, Tensor], remaining: Counter,

@@ -8,14 +8,14 @@ checker.  No op mutates its inputs; ``backward`` accumulates into the
 Retention rule: a backward closure keeps the op's inputs, its own output
 (relu, and batch norm with ``relu=True``, which masks ``g`` with it) and
 per-channel statistics, never a derived full-size buffer.  Conv keeps ``x``
-and ``w`` and reads its operand again in backward.  Average pooling adds
-and fills strided views and keeps its input's shape and dtype, which is all
-its backward reads.  Batch norm builds each input's ``xhat`` again from the
-input, mean and inverse std, in the buffer where it then builds that
-input's gradient; given a concat unit's predecessors as a list, its inputs
-are those predecessors, so no concatenation is built or kept.  The only
-derived arrays kept are output-sized ones: max-pool argmax indices and
-softmax probabilities.
+and ``w`` and reads its operand again in backward.  The backward of every
+pooling op reads of its input only the ``shape`` and ``dtype`` that its
+Tensor keeps, so the input's array may be freed.  Batch norm builds each
+input's ``xhat`` again from the input, mean and inverse std, in the buffer
+where it then builds that input's gradient; given a concat unit's
+predecessors as a list, its inputs are those predecessors, so no
+concatenation is built or kept.  The only derived arrays kept are
+output-sized ones: max-pool argmax indices and softmax probabilities.
 
 The batch-norm to conv hand-off.  A planned ``BnRelu`` is one batch-norm
 node: the ReLU is applied as the output is written, so no pre-ReLU output
@@ -29,19 +29,21 @@ writes every batch-norm output, one part at a time.  Every batch-norm
 statistic is summed per (image, channel) plane and then over the images in
 order, so its bits do not depend on how the channels are split into parts.
 The output, its operand and ``make`` live in one holder, ``_Rebuildable``.
-``_release`` drops the output and its operand, and the next backward step
-that reads them through ``_data`` has ``make`` write them again, bit for
-bit (the recompute of Chen et al., arXiv 1604.06174).  The executor
-releases every ``BnRelu`` output once the conv that reads it has run, and
-swaps each transition conv's output for a stand-in of its shape and dtype
-(``_keep_shape``) once the average pool that reads it has run.  So what a
-training step keeps alive between forward and backward is the layer
-outputs plus per-channel statistics: a transition keeps its pooled output,
-not its conv's.  One unit's backward adds to that: the conv's output
-gradient until its zero-margined copy holds it, that copy, the rebuilt
-operand, the tap stack, at most one image's plus one chunk's operand
-gradient, the input gradient that ``K.col2im`` folds them into, and then
-batch norm's per-part ``dx``.
+
+Freeing.  A freed array is None: ``_release(t)`` sets ``t.data``, and its
+holder's output and operand, to None; ``t.shape`` and ``t.dtype`` stay.
+The next backward step that reads a freed batch-norm output, the conv's
+through ``_data`` or batch norm's own for its ReLU mask, has ``make``
+write it again, bit for bit (the recompute of Chen et al., arXiv
+1604.06174); ``_data`` raises for an array that no ``make`` can rebuild.
+The executor frees the input of every conv and pool that is not its
+unit's first op.  So what a training step keeps alive between forward and
+backward is the layer outputs plus per-channel statistics: a transition
+keeps its pooled output, not its conv's.  One unit's backward adds to
+that: the conv's output gradient until its zero-margined copy holds it,
+that copy, the rebuilt operand, the tap stack, at most one image's plus
+one chunk's operand gradient, the input gradient that ``K.col2im`` folds
+them into, and then batch norm's per-part ``dx``.
 
 Gradient ownership: each backward closure owns the gradient it is handed,
 and the sweep keeps no reference to it, so the closure may overwrite it or
@@ -114,26 +116,20 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild")
+    __slots__ = ("data", "shape", "dtype", "grad", "requires_grad", "_parents", "_backward",
+                 "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        self.data = arr
+        self.data = arr  # None once freed by _release
+        self.shape, self.dtype = arr.shape, arr.dtype
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._rebuild: _Rebuildable | None = None  # set on batch-norm outputs
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -149,11 +145,11 @@ class Tensor:
         """
         if self.grad is not None:
             self.grad += g
-        elif (g.flags.owndata and g.flags.c_contiguous and g.dtype == self.data.dtype
-              and g.shape == self.data.shape):
+        elif (g.flags.owndata and g.flags.c_contiguous and g.dtype == self.dtype
+              and g.shape == self.shape):
             self.grad = g
         else:
-            self.grad = np.empty(self.data.shape, dtype=self.data.dtype)
+            self.grad = np.empty(self.shape, dtype=self.dtype)
             np.copyto(self.grad, g, casting="same_kind")
 
     def backward(self, grad: np.ndarray | None = None, free_graph: bool = True) -> None:
@@ -203,7 +199,7 @@ class Tensor:
                 node._backward(node.grad.copy())
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
 
 def _take_grad(node: Tensor) -> np.ndarray:
@@ -251,27 +247,26 @@ class _Rebuildable:
 
 
 def _release(t: Tensor) -> None:
-    """Drop ``t``'s array and operand until backward reads them, if ``t`` can be rebuilt."""
-    saved = t._rebuild
-    if saved is not None and saved.make is not None:
-        t.data = saved.out = saved.operand = None
+    """Free ``t``'s array, and its operand if it has one: ``t.data`` is None until ``_data``."""
+    t.data = None
+    if t._rebuild is not None:
+        t._rebuild.out = t._rebuild.operand = None
 
 
-def _keep_shape(t: Tensor) -> None:
-    """Swap ``t``'s array for a read-only zero-stride stand-in of its shape and dtype.
-
-    For an output whose readers still to come read only those, as
-    ``avg_pool2d``'s backward and ``accumulate_grad`` do.
-    """
-    t.data = np.broadcast_to(np.zeros((), dtype=t.data.dtype), t.data.shape)
+def _rebuilt(saved: _Rebuildable) -> np.ndarray:
+    """``saved.out``, written again first if it was released."""
+    if saved.out is None:
+        saved.out, saved.operand = saved.make()
+    return saved.out
 
 
 def _data(t: Tensor) -> np.ndarray:
-    """``t.data``, rebuilt first if ``_release`` dropped it."""
+    """``t.data``, rebuilt first if it was released; an array nothing can rebuild raises."""
     if t.data is None:
-        saved = t._rebuild
-        saved.out, saved.operand = saved.make()
-        t.data = saved.out
+        if t._rebuild is None or t._rebuild.make is None:
+            raise RuntimeError(f"the {t.shape} {t.dtype} array of this tensor was released "
+                               "and nothing can rebuild it")
+        t.data = _rebuilt(t._rebuild)
     return t.data
 
 
@@ -362,8 +357,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         # The gradient grid sits after `lead` zero columns and ends in zeros, so
         # G[(t, o), q] = g_grid[o, q - offsets[t]] is a plain slice for every
         # operand column q; each chunk stacks its kh*kw slices and runs two GEMMs.
-        # x is rebuilt even when only x needs a gradient, since
-        # accumulate_grad reads its shape and dtype.
+        # x is rebuilt even when only x needs a gradient: the batch norm
+        # that wrote it reads it next, for its ReLU mask.
         _data(x)
         width, lead, image = n * hp * wp, offsets[-1], hp * wp
         covered = (oh, ow) == (hp, wp)  # 1x1, unpadded: no margin to zero
@@ -545,6 +540,7 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     del var  # written once, by the first make(); its closure need not keep it
 
     def backward(g):
+        out = _rebuilt(saved) if relu else None  # the ReLU mask; its reader may have released it
         sum_g = np.empty(c, dtype=g.dtype)
         sum_gx = np.empty_like(sum_g)
         scale = g4 * inv4
@@ -554,7 +550,7 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
         for p, lo, hi in spans:
             gp = g[:, lo:hi]
             if relu:
-                np.multiply(gp, saved.out[:, lo:hi] > 0, out=gp)
+                np.multiply(gp, out[:, lo:hi] > 0, out=gp)
             sum_g[lo:hi] = _over_images(np.einsum("nchw->nc", gp))
             xhat = p.data - mu[lo:hi].reshape(1, -1, 1, 1)
             xhat *= inv4[:, lo:hi]
@@ -611,8 +607,8 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     row by row onto zeros, then divides by kernel**2: the summation order
     and divisor of ``mean`` over the window axes, so the bits match it.
     Backward writes ``g / kernel**2`` into the same views of one buffer;
-    it reads only ``x``'s shape and dtype, so the executor may swap
-    ``x.data`` for a stand-in (``_keep_shape``) once the pool has run.
+    it reads only ``x``'s shape and dtype, so ``x`` may be released once
+    the pool has run.
     """
     _check_float(x, "x", "avg_pool2d")
     n, c, h, w = x.data.shape
@@ -699,15 +695,15 @@ def _slot_view(xp: np.ndarray, ky: int, kx: int, stride: int, oh: int, ow: int) 
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """(N,C,H,W) -> (N,C) spatial mean."""
+    """(N,C,H,W) -> (N,C) spatial mean; backward reads only ``x``'s shape and dtype."""
     _check_float(x, "x", "global_avg_pool")
     n, c, h, w = x.data.shape
     out = x.data.mean(axis=(2, 3))
 
     def backward(g):
         if x.requires_grad:
-            ge = np.broadcast_to(g.reshape(n, c, 1, 1), x.data.shape) / (h * w)
-            x.accumulate_grad(ge.astype(x.data.dtype, copy=False))
+            ge = np.broadcast_to(g.reshape(n, c, 1, 1), (n, c, h, w)) / (h * w)
+            x.accumulate_grad(ge.astype(x.dtype, copy=False))
 
     return _result(out, (x,), backward, "global_avg_pool")
 

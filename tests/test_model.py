@@ -14,6 +14,7 @@ from sparseagg.architecture import (
     Conv,
     InputSpec,
     NetworkSpec,
+    Pool,
     StemSpec,
     analyze,
     load_spec,
@@ -240,7 +241,7 @@ def test_sum_plain_training_step_peak_stays_under_bound():
     # predecessor into a sum node, 25.62 MB reading it directly, 17.23 MB
     # with each conv's BnRelu input rebuilt in backward, 16.61 MB with batch
     # norm writing each conv's operand, 13.46 MB with each transition conv's
-    # output swapped for a stand-in of its shape once its pool has run.
+    # output freed once its pool has run.
     peak = training_step_peak(load_spec(config_path("sum_plain_d12_cifar.json")))
     assert peak < 15_000_000, peak
 
@@ -248,7 +249,7 @@ def test_sum_plain_training_step_peak_stays_under_bound():
 def test_dense40_training_step_keeps_no_pool_input():
     # dense40_k12 at batch 16: 62.27 MB while each transition kept its conv's
     # full-resolution output for the pool's backward, which reads only its
-    # shape; 51.78 MB with that output swapped for a zero-stride stand-in.
+    # shape; 51.78 MB with that output freed once the pool has run.
     peak = training_step_peak(load_spec(config_path("dense40_k12_cifar.json")))
     assert peak < 56_000_000, peak
 
@@ -344,46 +345,68 @@ def test_every_gradient_owns_its_memory_and_shares_it_with_none(family):
         np.testing.assert_array_equal(grads[False][name], g)
 
 
-def test_training_forward_keeps_only_the_shape_of_each_pool_input():
-    net = compile_network(load_spec(config_path("sparse_bc_tiny_cifar.json")), seed=0)
-    out = net.forward(batch(np.random.default_rng(1), 4), training=True)
+@pytest.mark.parametrize("name", ["sparse_bc_tiny", "strided_stem"])
+def test_training_forward_keeps_only_the_shape_of_each_pool_input(name):
+    # Every pool's input is freed once the pool has run: a transition conv's
+    # output, the classifier's BnRelu output and the strided stem's BnRelu
+    # output before its max pool.  Their Tensors keep shape and dtype.
+    if name == "sparse_bc_tiny":
+        spec, n = load_spec(config_path("sparse_bc_tiny_cifar.json")), 4
+    else:
+        spec, n = tiny_fd_spec("concat", stem_stride=2), 2
+    net = compile_network(spec, seed=0)
+    x = np.random.default_rng(1).standard_normal(
+        (n, spec.input.channels, spec.input.height, spec.input.width)).astype(np.float32)
+    out = net.forward(x, training=True)
     pools = [t for t in graph_tensors(out)
-             if t._backward is not None and t._backward.__qualname__.startswith("avg_pool2d.")]
-    assert len(pools) == len(net.plan.blocks) - 1
+             if t._backward is not None and t._backward.__qualname__.startswith(
+                 ("avg_pool2d.", "max_pool2d.", "global_avg_pool."))]
+    stem_pools = len(net.plan.stem.ops) > 1
+    assert len(pools) == len(net.plan.blocks) + stem_pools
     for pool in pools:
-        (conv_out,) = pool._parents
-        assert conv_out.data.strides == (0, 0, 0, 0) and not conv_out.data.flags.writeable
-        assert not any(isinstance(cell.cell_contents, np.ndarray)
-                       for cell in pool._backward.__closure__)
+        (source,) = pool._parents
+        assert source.data is None
+        assert len(source.shape) == 4 and source.dtype == np.float32
+        if not pool._backward.__qualname__.startswith("max_pool2d."):  # it keeps argmax indices
+            assert not any(isinstance(cell.cell_contents, np.ndarray)
+                           for cell in pool._backward.__closure__)
 
 
-def tiny_fd_spec(family):
+def tiny_fd_spec(family, stem_stride=1):
     """Two blocks at 8x8, small enough for a finite-difference check of every parameter.
 
     The concat transition is BnRelu -> Conv -> Pool("avg"), and its layers
     are bottleneck ones, whose second BnRelu reads a conv's output in
     backward; the sum transition, at equal widths, is BnRelu -> Pool("avg")
-    with no conv (criterion 5's spec).
+    with no conv (criterion 5's spec).  With ``stem_stride=2`` the stem is
+    the ImageNet one, a 7x7/2 conv, BnRelu and a 3x3/2 max pool, on a 16x16
+    input, and the blocks are 4x4.
     """
     if family == "concat":
         block, extra = BlockSpec(num_layers=2, growth_rate=2), {"bottleneck": True,
                                                                 "compression": 0.5}
     else:
         block, extra = BlockSpec(num_layers=2, width=4), {}
-    return NetworkSpec(family=family, topology=Sparse(2), blocks=(block, block),
-                       stem=StemSpec(out_channels=4, kernel=3, stride=1), num_classes=10,
-                       input=InputSpec(8, 8, 3), **extra)
+    side = 8 * stem_stride
+    stem = StemSpec(out_channels=4, kernel=7 if stem_stride > 1 else 3, stride=stem_stride)
+    return NetworkSpec(family=family, topology=Sparse(2), blocks=(block, block), stem=stem,
+                       num_classes=10, input=InputSpec(side, side, 3), **extra)
 
 
-@pytest.mark.parametrize("family,transition", [("concat", ("BnRelu", "Conv", "Pool")),
-                                               ("sum", ("BnRelu", "Pool"))])
-def test_training_forward_gradients_match_finite_differences(family, transition):
-    spec = tiny_fd_spec(family)
-    exit_ops = plan_network(spec).blocks[0].exit.ops
-    assert tuple(type(op).__name__ for op in exit_ops) == transition
+@pytest.mark.parametrize("family,stem_stride,stem,transition", [
+    ("concat", 1, ("Conv",), ("BnRelu", "Conv", "Pool")),
+    ("sum", 1, ("Conv",), ("BnRelu", "Pool")),
+    ("concat", 2, ("Conv", "BnRelu", "Pool"), ("BnRelu", "Conv", "Pool"))],
+    ids=["concat", "sum", "strided_stem"])
+def test_training_forward_gradients_match_finite_differences(family, stem_stride, stem,
+                                                             transition):
+    spec = tiny_fd_spec(family, stem_stride)
+    plan = plan_network(spec)
+    assert tuple(type(op).__name__ for op in plan.stem.ops) == stem
+    assert tuple(type(op).__name__ for op in plan.blocks[0].exit.ops) == transition
     net = compile_network(spec, seed=0, dtype=np.float64)
     rng = np.random.default_rng(1000)
-    x = rng.standard_normal((2, 3, 8, 8))
+    x = rng.standard_normal((2, 3, spec.input.height, spec.input.width))
     labels = rng.integers(0, 10, size=2)
 
     def loss(*_):
@@ -391,6 +414,34 @@ def test_training_forward_gradients_match_finite_differences(family, transition)
 
     report = check_gradients(loss, list(net.params.values()), tolerance=1e-4)
     assert report.passed, report.per_input
+
+
+@pytest.mark.parametrize("name", ["sparse_bc_tiny", "sum_sparse2", "strided_stem"])
+def test_freeing_activations_changes_no_bit_of_a_training_step(monkeypatch, name):
+    # One seeded training step as it runs, with every conv and pool input
+    # after a unit's first op freed, and again with nothing freed: the loss,
+    # every parameter gradient and the running statistics keep their bits.
+    # sum_sparse2 has conv-less transitions and sums of several inputs.
+    spec = {"sparse_bc_tiny": lambda: load_spec(config_path("sparse_bc_tiny_cifar.json")),
+            "sum_sparse2": lambda: tiny_fd_spec("sum"),
+            "strided_stem": lambda: tiny_fd_spec("concat", stem_stride=2)}[name]()
+    release = tensor_module._release
+    results, freed = [], []
+    for keep_all in (False, True):
+        spy = (lambda t: None) if keep_all else (lambda t: freed.append(t) or release(t))
+        monkeypatch.setattr(tensor_module, "_release", spy)
+        net = compile_network(spec, seed=0)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((4, 3, spec.input.height, spec.input.width)).astype(np.float32)
+        loss = softmax_cross_entropy(net.forward(x, training=True), rng.integers(0, 10, size=4))
+        loss.backward()
+        stats = [a for st in net.bn_states.values() for a in (st.running_mean, st.running_var)]
+        results.append([loss.data, *(p.grad for p in net.params.values()), *stats])
+    assert len(freed) == sum(isinstance(op, (Conv, Pool))
+                             for unit in net.plan.units for op in unit.ops[1:])
+    for got, ref in zip(*results):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_plain_topology_keeps_constant_live_set():

@@ -216,19 +216,19 @@ def test_avg_pool_matches_former_mean_bit_for_bit(dtype, k, seed):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [2, 4])
-def test_avg_pool_gradient_is_the_same_with_its_input_swapped_for_a_stand_in(dtype, k):
-    # The executor swaps a transition conv's output for a zero-stride stand-in
-    # once its pool has run; the pool's backward reads only the shape and dtype.
+def test_avg_pool_gradient_is_the_same_with_its_input_released(dtype, k):
+    # The executor frees a transition conv's output once its pool has run;
+    # the pool's backward reads only the shape and dtype its Tensor keeps.
     rng = np.random.default_rng(1310 + k)
     x = rng.standard_normal((3, 5, 8, 12)).astype(dtype)
     g = rng.standard_normal((3, 5, 8 // k, 12 // k)).astype(dtype)
     grads = []
-    for swapped in (False, True):
+    for released in (False, True):
         xt = Tensor(x.copy(), requires_grad=True)
         out = avg_pool2d(xt, k)
-        if swapped:
-            tensor_module._keep_shape(xt)
-            assert xt.data.strides == (0, 0, 0, 0) and not xt.data.flags.writeable
+        if released:
+            tensor_module._release(xt)
+            assert xt.data is None
         out.backward(g)
         grads.append(xt.grad)
     assert same_bits(grads[1], grads[0])
@@ -1162,16 +1162,26 @@ def test_accumulate_grad_copies_into_c_order():
     assert y.grad.flags.c_contiguous and same_bits(y.grad, g)
 
 
-def test_release_is_a_no_op_without_a_graph():
+def test_a_released_array_that_nothing_can_rebuild_fails_loudly():
+    # A conv's output has no make(), nor has a batch-norm output recorded
+    # without a graph: once released, a read raises and names the shape.
     x, gamma, beta, _, make_state = bn_relu_inputs("train", 2)
-    xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    rng = np.random.default_rng(5)
+    w1 = Tensor(rng.standard_normal((4, 6, 3, 3)).astype(np.float32), requires_grad=True)
+    w2 = Tensor(rng.standard_normal((2, 4, 1, 1)).astype(np.float32), requires_grad=True)
+    h = conv2d(Tensor(x), w1, padding=1)
+    out = conv2d(h, w2)
+    tensor_module._release(h)
+    assert h.data is None
+    assert repr(h) == "Tensor(shape=(8, 4, 7, 7), dtype=float32, requires_grad=True)"
+    with pytest.raises(RuntimeError, match=r"\(8, 4, 7, 7\) float32 array .* released"):
+        out.backward(np.ones(out.shape, np.float32))
     with no_grad():
-        y = batch_norm(xt, gt, bt, make_state(), True, relu=True)
+        y = batch_norm(*(Tensor(a) for a in (x, gamma, beta)), make_state(), True, relu=True)
     tensor_module._release(y)
-    assert y.data is not None
-    stem_input = Tensor(x)
-    tensor_module._release(stem_input)  # not an op output: nothing to rebuild it from
-    assert stem_input.data is x
+    assert y.data is None and y._rebuild.out is None
+    with pytest.raises(RuntimeError, match=r"\(8, 6, 7, 7\) float32"):
+        tensor_module._data(y)
 
 
 # ---------------------------------------------------------------------------
