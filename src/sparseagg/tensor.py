@@ -11,10 +11,10 @@ per-channel statistics, never a derived full-size buffer.  Conv keeps ``x``
 and ``w`` and reads its operand again in backward.  The backward of every
 pooling op reads of its input only the ``shape`` and ``dtype`` that its
 Tensor keeps, so the input's array may be freed.  Batch norm builds each
-input's ``xhat`` again from the input, mean and inverse std, in the buffer
-where it then builds that input's gradient; given a concat unit's
-predecessors as a list, its inputs are those predecessors, so no
-concatenation is built or kept.  The only derived arrays kept are
+input's ``xhat`` again from the input, mean and inverse std, a block of
+images at a time, in a small buffer where it then builds that block of the
+input's gradient; given a concat unit's predecessors as a list, its inputs
+are those predecessors, so no concatenation is built or kept.  The only derived arrays kept are
 output-sized ones: max-pool argmax indices and softmax probabilities.
 
 The batch-norm to conv hand-off.  A planned ``BnRelu`` is one batch-norm
@@ -25,7 +25,7 @@ channel-major operand (C, N, H+2m, W+2m), and the output's ``data`` is the
 NCHW view of the operand's interior.  ``conv2d`` reads that operand as it
 is, with no gather; it gathers any other input with ``K.im2col``, and never
 infers an operand from strides.  One routine, ``make`` in ``batch_norm``,
-writes every batch-norm output, one part at a time.  Every batch-norm
+writes every batch-norm output, one piece of a part at a time.  Every batch-norm
 statistic is summed per (image, channel) plane and then over the images in
 order, so its bits do not depend on how the channels are split into parts.
 The output, its operand and ``make`` live in one holder, ``_Rebuildable``.
@@ -45,6 +45,23 @@ that copy, the rebuilt operand, the tap stack, at most one image's plus
 one chunk's operand gradient, the input gradient that ``K.col2im`` folds
 them into, and then batch norm's per-part ``dx``.
 
+Threads.  Importing this module sets the OpenBLAS that numpy bundles to
+one thread (``_pin_blas``): its idle threads busy-wait after each GEMM and
+so hold the second CPU through the numpy passes between GEMMs.  Instead,
+``conv2d`` and ``batch_norm`` split their own work into shares, one run by
+the calling thread and one by each of ``_WORKERS`` worker threads, one
+per further CPU that the process may use (``_split``).  With no OpenBLAS
+to pin, or for an op over less than ``_SPLIT_BYTES``, everything runs
+inline.  Every GEMM keeps the M and K it has on one thread, and the dW
+sums keep their chunks; a conv forward cuts a GEMM by N only where
+OpenBLAS gives every element the same bits whatever N is (``_cuttable``).
+So a seeded run gives the bits of a single-threaded one, whatever
+``OPENBLAS_NUM_THREADS`` says.  Batch norm cuts its channels into one
+contiguous range per share; every statistic is per channel, so no share
+waits for another.  A share never calls an op that splits, so splits
+never nest, and an error in any share is raised in the caller once every
+share has stopped.
+
 Gradient ownership: each backward closure owns the gradient it is handed,
 and the sweep keeps no reference to it, so the closure may overwrite it or
 free it early.  ``accumulate_grad`` takes ownership of what it is given:
@@ -61,10 +78,14 @@ training step has populated its running statistics.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import math
 import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -229,6 +250,94 @@ def _check_float(t: Tensor, name: str, op: str) -> None:
         raise TypeError(f"{op}: {name} must be a Tensor, got {type(t).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# threads
+
+
+def _openblas(name: str):
+    """``openblas_<name>`` of the OpenBLAS that numpy bundles, under the symbol it exports, or None."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The thread count that numpy's bundled OpenBLAS reports, or None without one."""
+    get = _openblas("get_num_threads")
+    return None if get is None else get()
+
+
+def _pin_blas() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False when there is none to set."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads(1)
+    return set_threads is not None
+
+
+# Workers beside the calling thread: one per CPU beyond the caller's, and
+# none (every op inline) when BLAS cannot be held to one thread.
+_WORKERS = len(os.sched_getaffinity(0)) - 1 if _pin_blas() else 0
+# ((pid, workers), pool): made again after a fork or a change of _WORKERS
+_pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+# An op over fewer bytes of activations than this runs inline: handing it
+# to a worker would cost more than it saves.
+_SPLIT_BYTES = 1 << 20
+
+
+def _shares(nbytes: int) -> int:
+    """How many shares an op over ``nbytes`` of activations is split into."""
+    return 1 + _WORKERS if nbytes >= _SPLIT_BYTES else 1
+
+
+def _split(share, shares: int, barrier: threading.Barrier | None = None) -> None:
+    """Run ``share(k)`` for k in range(shares): k = 0 on the caller, the rest on workers.
+
+    Returns once every share has.  The first error raised is raised again,
+    after ``barrier`` (which every share waits at) has been aborted so that
+    no share is left waiting.  A share must not call an op that splits.
+    """
+    global _pool
+
+    def run(k):
+        try:
+            share(k)
+        except BaseException:
+            if barrier is not None:
+                barrier.abort()
+            raise
+
+    if shares == 1:
+        run(0)
+        return
+    if _pool is None or _pool[0] != (os.getpid(), _WORKERS):
+        _pool = ((os.getpid(), _WORKERS), ThreadPoolExecutor(_WORKERS, thread_name_prefix="sparseagg"))
+    futures = [_pool[1].submit(run, k) for k in range(1, shares)]
+    errors = []
+    try:
+        run(0)
+    except BaseException as exc:
+        errors.append(exc)
+    for future in futures:
+        try:
+            future.result()
+        except BaseException as exc:
+            errors.append(exc)
+    if errors:
+        # a share that found the barrier broken reports the effect, not the cause
+        raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)),
+                   errors[0])
+
+
+def _cut(length: int, k: int, shares: int) -> tuple[int, int]:
+    """Share k's [start, stop) of ``length`` items split evenly into ``shares`` ranges."""
+    return length * k // shares, length * (k + 1) // shares
+
+
 class _Rebuildable:
     """A batch-norm output ``out``, the zero-margined ``operand`` it views (or None), and ``make``.
 
@@ -306,6 +415,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     stack no larger than the operand, 1024 to 4096 columns wide.  Backward
     reads ``x`` and its operand again, through ``_data``, so ``x`` may have
     been released after forward.
+
+    Split into shares (the module docstring's "Threads"), forward cuts each
+    chunk's columns evenly, one piece per share with a stack of its own,
+    where ``_cuttable`` allows; any other chunk runs whole on the caller.
+    The shares then copy the output, by output channel.  Backward fills
+    ``g_grid`` by output channel.  Then, per chunk, each share folds its
+    channels of the images that the last chunk completed and copies its
+    rows of G; share 0 runs the dW GEMM and adds it to dW in chunk order
+    while share 1 runs the operand-gradient GEMM.  They meet at a barrier
+    before and after the GEMMs, so one G and one pending buffer serve all.
     """
     _check_float(x, "x", "conv2d")
     _check_float(w, "w", "conv2d")
@@ -334,24 +453,58 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     rows = len(offsets) * o
     chunk = _chunk_columns(operand.size, rows)
     grid = np.empty((o, n * hp * wp), dtype=dtype)
+    shares = _shares(operand.nbytes)
     if len(offsets) == 1:
-        np.matmul(w.data.reshape(o, c), operand, out=grid)
+        w_mat = w.data.reshape(o, c)
+        if not _cuttable(dtype, o * c * (grid.shape[1] // shares)):
+            shares = 1
+
+        def share(k):
+            a, b = _cut(grid.shape[1], k, shares)
+            np.matmul(w_mat, operand[:, a:b], out=grid[:, a:b])
+
+        _split(share, shares)
     else:
         lead = offsets[-1]
         w_cat = _tap_weights(w.data)
-        buf = np.empty(rows * (min(chunk, span) + lead), dtype=dtype)
-        for a in range(0, span, chunk):
-            m = min(chunk, span - a)
-            stack = buf[:rows * (m + lead)].reshape(rows, m + lead)
+        chunks = [(a, min(chunk, span - a)) for a in range(0, span, chunk)]
+        cut = [(a, m) for a, m in chunks if _cuttable(dtype, rows * c * (m // shares + lead))]
+        # One stack per share, of its piece of a chunk plus the lead: a
+        # single share's stack when no chunk is cut.
+        if not cut:
+            shares = 1
+        buf = np.empty((shares, rows * (-(-min(chunk, span) // shares) + lead)), dtype=dtype)
+
+        def tap_sum(stack, a, m):
+            """grid[:, a:a + m], from one GEMM over operand[:, a:a + m + lead] into ``stack``."""
+            stack = stack[:rows * (m + lead)].reshape(rows, m + lead)
             np.matmul(w_cat, operand[:, a:a + m + lead], out=stack)
             stack = stack.reshape(len(offsets), o, m + lead)
             acc = grid[:, a:a + m]
             np.copyto(acc, stack[0, :, :m])
             for t, d in enumerate(offsets[1:], 1):
                 acc += stack[t, :, d:d + m]
-        del buf, stack
+
+        def share(k):
+            for a, m in cut:  # each share takes its piece of every chunk that is cut
+                lo, hi = _cut(m, k, shares)
+                tap_sum(buf[k], a + lo, hi - lo)
+
+        _split(share, shares)
+        for a, m in chunks:  # a chunk that is not cut runs whole, on the caller
+            if (a, m) not in cut:
+                tap_sum(buf.reshape(-1), a, m)
+        del buf
     del operand
-    out = grid.reshape(o, n, hp, wp)[corner].transpose(1, 0, 2, 3)
+    out = np.empty((n, o, oh, ow), dtype=dtype)
+    shares = _shares(out.nbytes)
+
+    def copy_out(k):
+        o0, o1 = _cut(o, k, shares)
+        out[:, o0:o1] = grid[o0:o1].reshape(o1 - o0, n, hp, wp)[corner].transpose(1, 0, 2, 3)
+
+    _split(copy_out, shares)
+    del grid
 
     def backward(g):
         # The gradient grid sits after `lead` zero columns and ends in zeros, so
@@ -362,8 +515,17 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         _data(x)
         width, lead, image = n * hp * wp, offsets[-1], hp * wp
         covered = (oh, ow) == (hp, wp)  # 1x1, unpadded: no margin to zero
-        g_pad = (np.empty if covered else np.zeros)((o, lead + width), dtype=dtype)
-        g_pad[:, lead:].reshape(o, n, hp, wp)[corner] = g.transpose(1, 0, 2, 3)
+        g_pad = np.empty((o, lead + width), dtype=dtype)
+        shares = _shares(c * width * dtype.itemsize)
+
+        def fill(k):
+            o0, o1 = _cut(o, k, shares)
+            if not covered:
+                g_pad[o0:o1] = 0
+            g_pad[o0:o1, lead:].reshape(o1 - o0, n, hp, wp)[corner] = \
+                g[:, o0:o1].transpose(1, 0, 2, 3)
+
+        _split(fill, shares)
         del g  # the sweep keeps no reference to it
         operand = _operand(x, padding).reshape(c, -1) if w.requires_grad else None
         w_cat = _tap_weights(w.data)
@@ -372,36 +534,55 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         # The operand-gradient columns of the images not yet folded into dx
         # (the first `done` are): at most one image's plus one chunk's.
         pending = np.empty((c, min(width, image + chunk)), dtype=dtype) if x.requires_grad else None
-        done = 0
         buf = np.empty(rows * min(chunk, width), dtype=dtype)
         tmp = None
-        for a in range(0, width, chunk):
-            b = min(a + chunk, width)
-            stack = buf[:rows * (b - a)].reshape(len(offsets), o, b - a)
-            for t, d in enumerate(offsets):
-                stack[t] = g_pad[:, lead - d + a:lead - d + b]
-            stack = stack.reshape(-1, b - a)
-            if dw is not None:
-                tmp = np.matmul(stack, operand[:, a:b].T, out=tmp)
-                dw += tmp
-            if dx is None:
-                continue
-            lo = a - done * image  # where column a sits in `pending`
-            np.matmul(w_cat.T, stack, out=pending[:, lo:lo + b - a])
-            ready = b // image  # images whose operand columns are all computed
-            if ready > done:
-                cols = (ready - done) * image
-                dx[done:ready] = K.col2im(pending[:, :cols].reshape(c, -1, hp, wp), padding)
-                rest = lo + b - a - cols  # the next image's columns so far
-                pending[:, :rest] = pending[:, cols:cols + rest]
-                done = ready
-        del g_pad, operand, buf, stack, tmp, pending
+        barrier = threading.Barrier(shares)
+        dx_share = min(1, shares - 1)
+
+        def share(k):
+            # Per chunk: every share folds its channels of the images that the
+            # last chunk completed and copies its rows of the stack; then share
+            # 0 runs the dW GEMM and share dx_share the operand-gradient GEMM.
+            nonlocal tmp, dw
+            r0, r1 = _cut(rows, k, shares)
+            c0, c1 = _cut(c, k, shares)
+            done = 0  # images folded into dx; the same count in every share
+            for a in range(0, width + chunk, chunk):
+                ready = min(a, width) // image  # images whose operand columns are all computed
+                if dx is not None and ready > done:
+                    cols = (ready - done) * image
+                    rest = min(a, width) - ready * image  # the next image's columns so far
+                    if c0 < c1:
+                        mine = pending[c0:c1]
+                        dx[done:ready, c0:c1] = K.col2im(
+                            mine[:, :cols].reshape(c1 - c0, -1, hp, wp), padding)
+                        mine[:, :rest] = mine[:, cols:cols + rest]
+                    done = ready
+                if a >= width:
+                    break
+                b = min(a + chunk, width)
+                stack = buf[:rows * (b - a)].reshape(rows, b - a)
+                for t, d in enumerate(offsets):
+                    lo, hi = max(r0, t * o), min(r1, t * o + o)
+                    if lo < hi:
+                        stack[lo:hi] = g_pad[lo - t * o:hi - t * o, lead - d + a:lead - d + b]
+                barrier.wait()
+                if k == 0 and dw is not None:
+                    tmp = np.matmul(stack, operand[:, a:b].T, out=tmp)
+                    dw += tmp
+                if k == dx_share and dx is not None:
+                    lo = a - done * image  # where column a sits in `pending`
+                    np.matmul(w_cat.T, stack, out=pending[:, lo:lo + b - a])
+                barrier.wait()
+
+        _split(share, shares, barrier)
+        del g_pad, operand, buf, tmp, pending
         if dw is not None:
             w.accumulate_grad(dw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
         if dx is not None:
             x.accumulate_grad(dx)
 
-    return _result(np.ascontiguousarray(out), (x, w), backward, "conv2d")
+    return _result(out, (x, w), backward, "conv2d")
 
 
 def _operand(x: Tensor, padding: int) -> np.ndarray:
@@ -426,6 +607,20 @@ _CHUNK = 4096
 def _chunk_columns(operand_size: int, rows: int) -> int:
     """Columns per chunk for a (rows, chunk) tap stack over an operand of ``operand_size``."""
     return min(_CHUNK, max(_CHUNK // 4, operand_size // rows))
+
+
+# Above this M*N*K, numpy's bundled OpenBLAS runs a float32 GEMM with its
+# blocked kernel, which gives every output element the same bits whatever N
+# is.  Its small-matrix kernel, which runs smaller ones, and its float64
+# kernel can round differently when N changes.  Cutting random GEMMs by N
+# on a SkylakeX core changed a bit in 0 of 4419 float32 cuts above this,
+# in 471 of 1081 at or below it, and in 2077 of 2300 float64 cuts above it.
+_WHOLE_GEMM = 100 ** 3
+
+
+def _cuttable(dtype, mnk: int) -> bool:
+    """Whether GEMMs cut by N into pieces of at least ``mnk`` = M*N*K keep their bits."""
+    return dtype == np.float32 and mnk > _WHOLE_GEMM
 
 
 def _tap_weights(w: np.ndarray) -> np.ndarray:
@@ -470,6 +665,13 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     ``relu(batch_norm(...))``; backward masks ``g`` with ``out > 0``.
     ``margin=m`` writes the output into the operand of a conv at padding m,
     as the module docstring describes.
+
+    Split into shares, each takes a contiguous range of the channels (a
+    part may straddle a cut, ``_pieces``) and works through each piece of
+    a part a block of images at a time (``_blocks``), in buffers of its
+    own.  Backward masks ``g`` in place, then adds each block of a part's
+    gradient into the gradient the part already has, or writes it into a
+    new array, or into ``g`` itself for a lone part, which it hands over.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if not parts:
@@ -493,10 +695,7 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     spans = list(zip(parts, bounds[:-1], bounds[1:]))
 
     if training:
-        mu = np.concatenate([_over_images(p.data.sum(axis=(2, 3))) for p in parts])
-        # as ``mean`` does: divide by an intp count, in float64 for a float32 sum
-        np.true_divide(mu, np.intp(count), out=mu, casting="unsafe")
-        var, inv = np.empty_like(mu), np.empty_like(mu)  # measured by the first make()
+        mu, var, inv = (np.empty(c, dtype=dtype) for _ in range(3))  # measured by the first make()
     else:
         if state.steps == 0 and _DEBUG:
             warnings.warn("batch_norm evaluated before any training step; using (0, 1) defaults",
@@ -504,31 +703,54 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
         mu, var = state.running_mean, state.running_var
         inv = 1.0 / np.sqrt(var + BN_EPS)
     inv4 = inv.reshape(1, c, 1, 1)
+    mu4 = mu.reshape(1, c, 1, 1)
+    sdtype = np.result_type(dtype, mu.dtype)  # of the centred input, xhat and dx
+    per_channel = h * w * sdtype.itemsize  # bytes of one image's plane in that dtype
+    shares = _shares(n * c * h * w * dtype.itemsize)
 
     def make(measure=False):
-        """The output and the operand it views (or None); ``measure`` also fills ``var`` and ``inv``."""
-        if margin is not None:
-            operand = np.zeros((c, n, h + 2 * margin, w + 2 * margin), dtype=dtype)
+        """The output and the operand it views (or None); ``measure`` also fills ``mu``, ``var`` and ``inv``."""
+        if margin is not None:  # its margins are zeroed by the shares
+            operand = np.empty((c, n, h + 2 * margin, w + 2 * margin), dtype=dtype)
             y = operand[:, :, margin:margin + h, margin:margin + w].transpose(1, 0, 2, 3)
         else:
             operand, y = None, np.empty((n, c, h, w), dtype=dtype)
-        # each part is centred in turn in one part-sized buffer
-        scratch = np.empty(n * max(hi - lo for _, lo, hi in spans) * h * w,
-                           dtype=np.result_type(dtype, mu.dtype))
-        for p, lo, hi in spans:
-            src = scratch[:p.data.size].reshape(p.data.shape)
-            np.subtract(p.data, mu[lo:hi].reshape(1, -1, 1, 1), out=src)
-            if measure:
-                var[lo:hi] = _over_images(np.einsum("nchw,nchw->nc", src, src)) / count
-                inv[lo:hi] = 1.0 / np.sqrt(var[lo:hi] + BN_EPS)
-            src *= inv4[:, lo:hi]
-            src *= g4[:, lo:hi]
-            src += b4[:, lo:hi]
-            src = src.astype(dtype, copy=False)
-            if relu:
-                np.maximum(src, 0, out=y[:, lo:hi])  # propagates NaN, as relu() does
-            else:
-                np.copyto(y[:, lo:hi], src)
+        pieces = _pieces(spans, c, shares)
+
+        def fill(k):
+            if margin and pieces[k]:
+                edges = operand[pieces[k][0][2]:pieces[k][-1][3]]
+                edges[:, :, :margin] = edges[:, :, -margin:] = 0
+                edges[:, :, margin:-margin, :margin] = edges[:, :, margin:-margin, -margin:] = 0
+            # each piece is centred a block of images at a time in a small buffer
+            for p, lo, a, b in pieces[k]:
+                xp = p.data[:, a - lo:b - lo]
+                blocks = _blocks(n, (b - a) * per_channel)
+                buf = np.empty((blocks[0][1], b - a, h, w), dtype=sdtype)
+                if measure:
+                    mu[a:b] = _over_images(xp.sum(axis=(2, 3)))
+                    # as ``mean`` does: divide by an intp count, in float64 for a float32 sum
+                    np.true_divide(mu[a:b], np.intp(count), out=mu[a:b], casting="unsafe")
+                    planes = np.empty((n, b - a), dtype=sdtype)
+                    for i, j in blocks:
+                        src = np.subtract(xp[i:j], mu4[:, a:b], out=buf[:j - i])
+                        planes[i:j] = np.einsum("nchw,nchw->nc", src, src)
+                    var[a:b] = _over_images(planes) / count
+                    inv[a:b] = 1.0 / np.sqrt(var[a:b] + BN_EPS)
+                for i, j in blocks:
+                    src = buf[:j - i]
+                    if not (measure and len(blocks) == 1):  # else src is centred already
+                        np.subtract(xp[i:j], mu4[:, a:b], out=src)
+                    src *= inv4[:, a:b]
+                    src *= g4[:, a:b]
+                    src += b4[:, a:b]
+                    src = src.astype(dtype, copy=False)
+                    if relu:
+                        np.maximum(src, 0, out=y[i:j, a:b])  # propagates NaN, as relu() does
+                    else:
+                        np.copyto(y[i:j, a:b], src)
+
+        _split(fill, shares)
         return y, operand
 
     saved = _Rebuildable(*make(measure=training), make)
@@ -544,29 +766,65 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
         sum_g = np.empty(c, dtype=g.dtype)
         sum_gx = np.empty_like(sum_g)
         scale = g4 * inv4
-        # Per part, in the channel order: the part's gradient masked and
-        # summed, xhat from the part, then the part's dx built in xhat's
-        # buffer and handed over.
+        pieces = _pieces(spans, c, shares)
+        # Where each part's dx goes: added into the part's gradient, or
+        # written into g for a lone part, or into a new array, handed over
+        # after the split.  A part listed twice gets a new array each time.
+        dests = {}
         for p, lo, hi in spans:
-            gp = g[:, lo:hi]
-            if relu:
-                np.multiply(gp, out[:, lo:hi] > 0, out=gp)
-            sum_g[lo:hi] = _over_images(np.einsum("nchw->nc", gp))
-            xhat = p.data - mu[lo:hi].reshape(1, -1, 1, 1)
-            xhat *= inv4[:, lo:hi]
-            sum_gx[lo:hi] = _over_images(np.einsum("nchw,nchw->nc", gp, xhat))
             if not p.requires_grad:
                 continue
-            if not training:
-                p.accumulate_grad(gp * scale[:, lo:hi])
-                continue
-            # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat))
-            dx = xhat
-            dx *= (-sum_gx[lo:hi] / count).reshape(1, -1, 1, 1)
-            dx += gp
-            dx -= (sum_g[lo:hi] / count).reshape(1, -1, 1, 1)
-            dx *= scale[:, lo:hi]
-            p.accumulate_grad(dx)
+            if p.grad is not None and sum(q is p for q in parts) == 1:
+                dests[lo] = (p.grad, True)
+            else:
+                dests[lo] = (g if hi - lo == c else np.empty(p.shape, dtype=p.dtype), False)
+
+        def grad(k):
+            # Per piece, a block of images at a time: the gradient masked in
+            # place and summed, with xhat built from the input; then dx built
+            # in the same small buffer and added or written to its place.
+            for p, lo, a, b in pieces[k]:
+                gp, xp = g[:, a:b], p.data[:, a - lo:b - lo]
+                blocks = _blocks(n, (b - a) * per_channel)
+                buf = np.empty((blocks[0][1], b - a, h, w), dtype=sdtype)
+                mask = np.empty(buf.shape, dtype=bool) if relu else None
+                planes_g = np.empty((n, b - a), dtype=g.dtype)
+                planes_gx = np.empty((n, b - a), dtype=np.result_type(g.dtype, sdtype))
+                for i, j in blocks:
+                    gb = gp[i:j]
+                    if relu:
+                        np.multiply(gb, np.greater(out[i:j, a:b], 0, out=mask[:j - i]), out=gb)
+                    planes_g[i:j] = np.einsum("nchw->nc", gb)
+                    xhat = np.subtract(xp[i:j], mu4[:, a:b], out=buf[:j - i])
+                    xhat *= inv4[:, a:b]
+                    planes_gx[i:j] = np.einsum("nchw,nchw->nc", gb, xhat)
+                sum_g[a:b] = _over_images(planes_g)
+                sum_gx[a:b] = _over_images(planes_gx)
+                if lo not in dests:
+                    continue
+                dest, add = dests[lo]
+                for i, j in blocks:
+                    dx, to = buf[:j - i], dest[i:j, a - lo:b - lo]
+                    if not training:
+                        np.multiply(gp[i:j], scale[:, a:b], out=dx)
+                    else:
+                        # dx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat))
+                        if len(blocks) > 1:  # else dx holds this block's xhat already
+                            np.subtract(xp[i:j], mu4[:, a:b], out=dx)
+                            dx *= inv4[:, a:b]
+                        dx *= (-sum_gx[a:b] / count).reshape(1, -1, 1, 1)
+                        dx += gp[i:j]
+                        dx -= (sum_g[a:b] / count).reshape(1, -1, 1, 1)
+                        dx *= scale[:, a:b]
+                    if add:
+                        to += dx
+                    else:
+                        np.copyto(to, dx, casting="same_kind")
+
+        _split(grad, shares)
+        for p, lo, _ in spans:
+            if lo in dests and not dests[lo][1]:
+                p.accumulate_grad(dests[lo][0])
         if beta.requires_grad:
             beta.accumulate_grad(sum_g)
         if gamma.requires_grad:
@@ -577,6 +835,45 @@ def batch_norm(x: Tensor | list[Tensor], gamma: Tensor, beta: Tensor, state: Bat
     if not result.requires_grad:
         saved.make = None
     return result
+
+
+# Batch norm runs each pass over a block of images at a time, about this many
+# bytes of scratch per share, so that a block's chain of passes stays in cache.
+_BLOCK_BYTES = 1 << 19
+
+
+def _blocks(n: int, image_bytes: int) -> list[tuple[int, int]]:
+    """[i, j) ranges that cover n images in blocks, the first of them the largest.
+
+    A block is about ``_BLOCK_BYTES``, or a quarter of the piece when that
+    is smaller (but not below an eighth of ``_BLOCK_BYTES``), so that the
+    shares' buffers stay small beside the piece.  Each block holds at least
+    two images when n does: einsum sums a lone plane of more than 8192
+    elements (numpy's buffer) in another order than it sums two or more,
+    and ``_pieces`` leaves a piece one channel wide only where its whole
+    part is, so a block is a lone plane only where its part is.
+    """
+    target = min(_BLOCK_BYTES, max(_BLOCK_BYTES // 8, n * image_bytes // 4))
+    count = max(1, n // max(2, target // max(1, image_bytes)))
+    return [(-(-n * j // count), -(-n * (j + 1) // count)) for j in range(count)]
+
+
+def _pieces(spans, c: int, shares: int) -> list[list[tuple]]:
+    """Each share's (part, part's first channel, start, stop) pieces of the ``c`` channels.
+
+    The channels are cut into one contiguous range per share.  A part may
+    straddle a cut, but a cut never leaves one channel of a wider part alone.
+    """
+    cuts = [0]
+    for k in range(1, shares):
+        cut = max(c * k // shares, cuts[-1])
+        for _, lo, hi in spans:
+            if lo < cut < hi:
+                cut = lo if cut - lo == 1 else hi if hi - cut == 1 else cut
+        cuts.append(cut)
+    cuts.append(c)
+    return [[(p, lo, max(lo, c0), min(hi, c1)) for p, lo, hi in spans if max(lo, c0) < min(hi, c1)]
+            for c0, c1 in zip(cuts[:-1], cuts[1:])]
 
 
 def _over_images(planes: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 import dataclasses
 import gc
 import hashlib
+import multiprocessing
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -214,6 +217,13 @@ def test_training_step_peak_stays_under_bound():
     # at 19.80 MB: the peak falls inside a bottleneck layer's backward.
     peak = training_step_peak(load_spec(config_path("sparse_bc_tiny_cifar.json")))
     assert peak < 21_500_000, peak
+
+
+def test_sparse40_training_step_peak_stays_under_bound():
+    # sparse40_k12 at batch 16: 24.94 MB with every op on the calling thread,
+    # 24.96 MB with each conv and batch norm split between it and a worker.
+    peak = training_step_peak(load_spec(config_path("sparse40_k12_cifar.json")))
+    assert peak < 25_190_000, peak
 
 
 def dense_wired_tiny():
@@ -442,6 +452,92 @@ def test_freeing_activations_changes_no_bit_of_a_training_step(monkeypatch, name
     for got, ref in zip(*results):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+def seeded_step(spec, n=4):
+    """Loss, every parameter gradient and the running statistics of one seeded training step."""
+    net = compile_network(spec, seed=0)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((n, 3, spec.input.height, spec.input.width)).astype(np.float32)
+    loss = softmax_cross_entropy(net.forward(x, training=True), rng.integers(0, 10, size=n))
+    loss.backward()
+    stats = [a for st in net.bn_states.values() for a in (st.running_mean, st.running_var)]
+    return [loss.data, *(p.grad for p in net.params.values()), *stats]
+
+
+def equal_width_sum_sparse2():
+    """sum_plain_d12 rewired sparse:2, every block 16 wide: conv-less transitions."""
+    spec = load_spec(config_path("sum_plain_d12_cifar.json"))
+    return dataclasses.replace(spec, topology=Sparse(2),
+                               blocks=tuple(dataclasses.replace(b, width=16) for b in spec.blocks))
+
+
+@pytest.mark.parametrize("name", ["sparse_bc_tiny", "sum_sparse2", "dense40_k12"])
+def test_splitting_ops_between_threads_changes_no_bit_of_a_training_step(monkeypatch, name):
+    # Once with every op on the calling thread, once with every conv and batch
+    # norm split between it and a worker, however small.
+    spec = {"sparse_bc_tiny": lambda: load_spec(config_path("sparse_bc_tiny_cifar.json")),
+            "sum_sparse2": equal_width_sum_sparse2,
+            "dense40_k12": lambda: load_spec(config_path("dense40_k12_cifar.json"))}[name]()
+    cuttable, cut = tensor_module._cuttable, []
+    monkeypatch.setattr(tensor_module, "_cuttable", lambda *a: cut.append(cuttable(*a)) or cut[-1])
+    monkeypatch.setattr(tensor_module, "_SPLIT_BYTES", 0)
+    results = []
+    for workers in (0, 1):
+        monkeypatch.setattr(tensor_module, "_WORKERS", workers)
+        results.append(seeded_step(spec))
+    if name == "dense40_k12":
+        assert any(cut)  # some forward GEMMs were cut between the threads
+    for got, ref in zip(*results):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_more_shares_than_cpus_change_no_bit_of_a_training_step(monkeypatch):
+    # Four shares on any host, switching threads as often as the interpreter
+    # can: a lost update or a share reading another's unfinished work shows.
+    spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    monkeypatch.setattr(tensor_module, "_SPLIT_BYTES", 0)
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (0, 3):
+            monkeypatch.setattr(tensor_module, "_WORKERS", workers)
+            runner = threading.Thread(target=lambda: results.append(seeded_step(spec)), daemon=True)
+            runner.start()
+            runner.join(timeout=300)
+            assert not runner.is_alive(), f"a training step in {workers + 1} shares did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+    for got, ref in zip(*results):
+        assert got.tobytes() == ref.tobytes()
+
+
+def send_seeded_loss(conn, spec):
+    conn.send(seeded_step(spec)[0].tobytes())
+    conn.close()
+
+
+def test_a_forked_child_trains_with_the_bits_of_its_parent(monkeypatch):
+    # The parent has split ops, so its worker pool exists; the forked child
+    # has none of its threads and must make its own.
+    monkeypatch.setattr(tensor_module, "_WORKERS", 1)
+    monkeypatch.setattr(tensor_module, "_SPLIT_BYTES", 0)
+    spec = load_spec(config_path("sparse_bc_tiny_cifar.json"))
+    loss = seeded_step(spec)[0]
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=send_seeded_loss, args=(send, spec))
+    child.start()
+    try:
+        assert receive.poll(120), "the forked child sent no loss"
+        assert receive.recv() == loss.tobytes()
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
 
 
 def test_plain_topology_keeps_constant_live_set():

@@ -1,4 +1,5 @@
 import os
+import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -694,6 +695,18 @@ def test_conv_forward_matches_per_tap_reference_bit_for_bit(k, stride, padding, 
 SEAM_CHUNK = 7
 
 
+@pytest.fixture(params=["inline", "split"])
+def split_paths(request, monkeypatch):
+    """Every op inline, then every op split between the caller and one worker, with each
+    float32 GEMM that a conv forward may cut cut into one piece per share."""
+    if request.param == "inline":
+        monkeypatch.setattr(tensor_module, "_WORKERS", 0)
+    else:
+        monkeypatch.setattr(tensor_module, "_WORKERS", 1)
+        monkeypatch.setattr(tensor_module, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(tensor_module, "_WHOLE_GEMM", 0)
+
+
 def seam_chunk(monkeypatch, x_shape, w_shape, padding):
     """Patch the chunk rule to SEAM_CHUNK; return the (chunk, lead, width) a conv of these
     shapes then walks its N*Hp*Wp grid with, lead being the largest tap offset."""
@@ -705,6 +718,7 @@ def seam_chunk(monkeypatch, x_shape, w_shape, padding):
     return chunk, (kh - 1) * wp + kw - 1, n * hp * wp
 
 
+@pytest.mark.usefixtures("split_paths")
 @pytest.mark.parametrize("k,stride,padding", CONV_REFERENCE_CASES)
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_backward_chunk_seams_within_ulps_of_saved_patch_reference(
@@ -718,6 +732,7 @@ def test_conv_backward_chunk_seams_within_ulps_of_saved_patch_reference(
         assert_within_8_ulps(got, ref)
 
 
+@pytest.mark.usefixtures("split_paths")
 @pytest.mark.parametrize("k,stride,padding", FORWARD_CASES)
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_forward_chunk_seams_match_per_tap_reference(monkeypatch, k, stride, padding, seed):
@@ -730,6 +745,7 @@ def test_conv_forward_chunk_seams_match_per_tap_reference(monkeypatch, k, stride
     assert same_bits(out, ref)
 
 
+@pytest.mark.usefixtures("split_paths")
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_conv_at_chunk_seams(monkeypatch, stride, seed):
@@ -945,10 +961,12 @@ def test_fused_bn_relu_matches_relu_of_batch_norm_bit_for_bit(case, seed):
 # batch norm over a list of parts against batch norm over their concat
 
 # The first part has one channel: numpy sums the planes of a one-channel
-# array in another order than those of a wider one.
+# array in another order than those of a wider one.  Split between two
+# shares, the 6 channels are cut at 3: "1+4+1" straddles the cut, and "1+3+2"
+# would leave one channel of its middle part alone, so the cut moves to 4.
 PART_CHANNELS = ((0, 1), (1, 4), (4, 6))
 SPLITS = {"1+3+2": PART_CHANNELS, "1x6": tuple((i, i + 1) for i in range(6)),
-          "5+1": ((0, 5), (5, 6))}
+          "5+1": ((0, 5), (5, 6)), "1+4+1": ((0, 1), (1, 5), (5, 6)), "6": ((0, 6),)}
 
 
 def run_bn_of_parts(x, gamma, beta, g, state, training, relu_on, parts_of, listed):
@@ -966,6 +984,7 @@ def run_bn_of_parts(x, gamma, beta, g, state, training, relu_on, parts_of, liste
             state.running_var]
 
 
+@pytest.mark.usefixtures("split_paths")
 @pytest.mark.parametrize("split", sorted(SPLITS))
 @pytest.mark.parametrize("relu_on", [True, False])
 @pytest.mark.parametrize("case", ["train", "eval", "eval_float64_stats", "nan",
@@ -1050,6 +1069,88 @@ def test_batch_norm_rejects_parts_that_cannot_be_joined():
             batch_norm([a, b], gamma, beta, state, training=True)
     with pytest.raises(ValueError, match="mismatch for 6 channels"):
         batch_norm([a, a, a], gamma, beta, state, training=True)
+
+
+# ---------------------------------------------------------------------------
+# ops split between the calling thread and a worker
+
+
+def pieces_of(widths, shares=2):
+    """Each share's (part, start, stop) channel pieces of parts of these widths."""
+    bounds = np.cumsum([0, *widths]).tolist()
+    spans = list(zip(range(len(widths)), bounds[:-1], bounds[1:]))
+    return [[(part, a, b) for part, _, a, b in share]
+            for share in tensor_module._pieces(spans, bounds[-1], shares)]
+
+
+def test_channel_cut_never_leaves_one_channel_of_a_wider_part_alone():
+    assert pieces_of([6]) == [[(0, 0, 3)], [(0, 3, 6)]]
+    assert pieces_of([1, 4, 1]) == [[(0, 0, 1), (1, 1, 3)], [(1, 3, 5), (2, 5, 6)]]
+    assert pieces_of([1, 3, 2]) == [[(0, 0, 1), (1, 1, 4)], [(2, 4, 6)]]
+    assert pieces_of([3]) == [[], [(0, 0, 3)]]
+    assert pieces_of([2, 2, 2], shares=3) == [[(0, 0, 2)], [(1, 2, 4)], [(2, 4, 6)]]
+
+
+@pytest.mark.parametrize("n,image_bytes", [(64, 48 * 1024), (64, 4096), (5, 10**6), (3, 33124),
+                                           (2, 10**7), (1, 10**7), (7, 1)])
+def test_batch_norm_blocks_cover_the_images_two_or_more_at_a_time(n, image_bytes):
+    blocks = tensor_module._blocks(n, image_bytes)
+    assert [i for i, _ in blocks[1:]] == [j for _, j in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(j - i >= min(2, n) for i, j in blocks)
+    assert blocks[0][1] == max(j - i for i, j in blocks)  # the buffer is sized by the first
+
+
+@pytest.mark.parametrize("widths", [(3,), (1, 2), (5,)])
+def test_split_batch_norm_of_one_image_keeps_the_inline_bits(monkeypatch, widths):
+    # einsum sums a lone plane of more than 8192 elements in another order than
+    # two or more; at batch 1, a one-channel piece of a wider part would be one.
+    rng = np.random.default_rng(42)
+    c = sum(widths)
+    x = (rng.standard_normal((1, c, 91, 91)) * 2.0 + 0.5).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    beta = rng.standard_normal(c).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    bounds = np.cumsum([0, *widths])
+    monkeypatch.setattr(tensor_module, "_SPLIT_BYTES", 0)
+    results = []
+    for workers in (0, 1):
+        monkeypatch.setattr(tensor_module, "_WORKERS", workers)
+        state = BatchNormState.create(c)
+        parts_of = tuple(zip(bounds[:-1], bounds[1:]))
+        results.append(run_bn_of_parts(x, gamma, beta, g, state, True, True, parts_of, True))
+    for got, ref in zip(*results):
+        assert same_bits(got, ref)
+
+
+def test_an_error_in_a_worker_reaches_the_caller_and_the_next_split_completes(monkeypatch):
+    monkeypatch.setattr(tensor_module, "_WORKERS", 1)
+    monkeypatch.setattr(tensor_module, "_SPLIT_BYTES", 0)
+    rng = np.random.default_rng(43)
+
+    def conv_backward():
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        conv2d(x, w, padding=1).backward(np.ones((2, 4, 6, 6), np.float32))
+        return x.grad, w.grad
+
+    caller, col2im = threading.get_ident(), K.col2im
+
+    def broken(grad, padding):  # each share folds its own channels
+        if threading.get_ident() == caller:
+            return col2im(grad, padding)
+        raise RuntimeError("fold failed on a worker")
+
+    monkeypatch.setattr(K, "col2im", broken)
+    with pytest.raises(RuntimeError, match="fold failed on a worker"):
+        conv_backward()
+    monkeypatch.setattr(K, "col2im", col2im)
+    done = []
+    runner = threading.Thread(target=lambda: done.append(conv_backward()), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert done, "the conv backward after the failed one did not complete"
+    assert all(grad is not None for grad in done[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ package in turn, with this same script:
     PYTHONPATH=src python tools/fingerprint.py > change.txt
     diff parent.txt change.txt && git worktree remove ../parent
 
-The package each run imported, and the ``OPENBLAS_NUM_THREADS`` it ran
-with (or ``unset``), are printed on stderr.  The digests depend on the
-BLAS thread count (some GEMM shapes round differently with one thread
-than with two), so compare runs made with the same
-``OPENBLAS_NUM_THREADS``.
+The package each run imported, the thread count that numpy's OpenBLAS
+reports and the ``OPENBLAS_NUM_THREADS`` the run was started with (or
+``unset``) are printed on stderr.  ``sparseagg.tensor`` sets that OpenBLAS
+to one thread when it is imported, so the digests do not depend on
+``OPENBLAS_NUM_THREADS``; a tree from before that change gives these bits
+only at ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-size", type=int, default=64)
     args = parser.parse_args(argv)
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    print(f"sparseagg from {os.path.dirname(T.__file__)}, OPENBLAS_NUM_THREADS={threads}",
-          file=sys.stderr)
+    print(f"sparseagg from {os.path.dirname(T.__file__)}, BLAS threads {T._blas_threads()}, "
+          f"OPENBLAS_NUM_THREADS={threads}", file=sys.stderr)
     for name in args.configs:
         spec = load_spec(os.path.join(ROOT, "configs", f"{name}.json"))
         print(f"{name} b{args.batch_size} {fingerprint(spec, args.batch_size)}", flush=True)
