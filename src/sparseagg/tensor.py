@@ -254,26 +254,27 @@ def _check_float(t: Tensor, name: str, op: str) -> None:
 # threads
 
 
-def _openblas(name: str):
+def _openblas(name: str, restype, *argtypes):
     """``openblas_<name>`` of the OpenBLAS that numpy bundles, under the symbol it exports, or None."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*.so*")):
         lib = ctypes.CDLL(path)
         for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
+                fn.restype, fn.argtypes = restype, list(argtypes)
                 return fn
     return None
 
 
 def _blas_threads() -> int | None:
     """The thread count that numpy's bundled OpenBLAS reports, or None without one."""
-    get = _openblas("get_num_threads")
+    get = _openblas("get_num_threads", ctypes.c_int)
     return None if get is None else get()
 
 
 def _pin_blas() -> bool:
     """Set numpy's bundled OpenBLAS to one thread; False when there is none to set."""
-    set_threads = _openblas("set_num_threads")
+    set_threads = _openblas("set_num_threads", None, ctypes.c_int)
     if set_threads is not None:
         set_threads(1)
     return set_threads is not None
