@@ -54,13 +54,18 @@ per further CPU that the process may use (``_split``).  With no OpenBLAS
 to pin, or for an op over less than ``_SPLIT_BYTES``, everything runs
 inline.  Every GEMM keeps the M and K it has on one thread, and the dW
 sums keep their chunks; a conv forward cuts a GEMM by N only where
-OpenBLAS gives every element the same bits whatever N is (``_cuttable``).
-So a seeded run gives the bits of a single-threaded one, whatever
-``OPENBLAS_NUM_THREADS`` says.  Batch norm cuts its channels into one
-contiguous range per share; every statistic is per channel, so no share
-waits for another.  A share never calls an op that splits, so splits
-never nest, and an error in any share is raised in the caller once every
-share has stopped.
+OpenBLAS gave every element the same bits whatever N is (``_cuttable``,
+measured on its SkylakeX kernel).  So a seeded run gives the bits of a
+single-threaded one, whatever ``OPENBLAS_NUM_THREADS`` says, on that
+kernel; the bit tests pin this on the host they run on.  Batch norm cuts
+its channels into one contiguous range per share; every statistic is per
+channel, so no share waits for another.  A share never calls an op that
+splits, so splits never nest; ops called from several threads split one
+at a time (``_SPLIT_LOCK``); and an error in any share is raised in the
+caller once every share has stopped.  The pin and the split were tuned
+and measured on a 2-CPU host only.  With more CPUs, conv backward still
+runs its two GEMMs on two threads, and every GEMM outside conv (the
+linear layer, float64) on one, where OpenBLAS would have used every CPU.
 
 Gradient ownership: each backward closure owns the gradient it is handed,
 and the sweep keeps no reference to it, so the closure may overwrite it or
@@ -285,6 +290,9 @@ def _pin_blas() -> bool:
 _WORKERS = len(os.sched_getaffinity(0)) - 1 if _pin_blas() else 0
 # ((pid, workers), pool): made again after a fork or a change of _WORKERS
 _pool: tuple[tuple[int, int], ThreadPoolExecutor] | None = None
+# Held by the caller of a split: two at once could fill the pool with
+# shares that wait at their barriers for shares queued behind them.
+_SPLIT_LOCK = threading.Lock()
 # An op over fewer bytes of activations than this runs inline: handing it
 # to a worker would cost more than it saves.
 _SPLIT_BYTES = 1 << 20
@@ -315,19 +323,20 @@ def _split(share, shares: int, barrier: threading.Barrier | None = None) -> None
     if shares == 1:
         run(0)
         return
-    if _pool is None or _pool[0] != (os.getpid(), _WORKERS):
-        _pool = ((os.getpid(), _WORKERS), ThreadPoolExecutor(_WORKERS, thread_name_prefix="sparseagg"))
-    futures = [_pool[1].submit(run, k) for k in range(1, shares)]
     errors = []
-    try:
-        run(0)
-    except BaseException as exc:
-        errors.append(exc)
-    for future in futures:
+    with _SPLIT_LOCK:
+        if _pool is None or _pool[0] != (os.getpid(), _WORKERS):
+            _pool = ((os.getpid(), _WORKERS), ThreadPoolExecutor(_WORKERS, thread_name_prefix="sparseagg"))
+        futures = [_pool[1].submit(run, k) for k in range(1, shares)]
         try:
-            future.result()
+            run(0)
         except BaseException as exc:
             errors.append(exc)
+        for future in futures:
+            try:
+                future.result()
+            except BaseException as exc:
+                errors.append(exc)
     if errors:
         # a share that found the barrier broken reports the effect, not the cause
         raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)),
@@ -420,6 +429,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     Split into shares (the module docstring's "Threads"), forward cuts each
     chunk's columns evenly, one piece per share with a stack of its own,
     where ``_cuttable`` allows; any other chunk runs whole on the caller.
+    (With OpenBLAS at one thread, running every chunk whole on the caller
+    made a sparse40 b64 training step 3.8% slower on a 2-CPU host.)
     The shares then copy the output, by output channel.  Backward fills
     ``g_grid`` by output channel.  Then, per chunk, each share folds its
     channels of the images that the last chunk completed and copies its
@@ -616,6 +627,8 @@ def _chunk_columns(operand_size: int, rows: int) -> int:
 # kernel can round differently when N changes.  Cutting random GEMMs by N
 # on a SkylakeX core changed a bit in 0 of 4419 float32 cuts above this,
 # in 471 of 1081 at or below it, and in 2077 of 2300 float64 cuts above it.
+# numpy's OpenBLAS picks its kernel for the CPU at run time: this rule was
+# measured on SkylakeX only, and another kernel may need another bound.
 _WHOLE_GEMM = 100 ** 3
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -1151,6 +1153,54 @@ def test_an_error_in_a_worker_reaches_the_caller_and_the_next_split_completes(mo
     runner.join(timeout=60)
     assert done, "the conv backward after the failed one did not complete"
     assert all(grad is not None for grad in done[0])
+
+
+# Two threads each run 1000 conv backwards in four shares on a pool of three
+# workers, switching as often as the interpreter can, and check the inline bits.
+TWO_CALLERS = """
+import sys, threading
+import numpy as np
+from sparseagg import tensor as T
+from sparseagg.tensor import Tensor, conv2d
+T._SPLIT_BYTES = 0
+rng = np.random.default_rng(44)
+xd = rng.standard_normal((4, 6, 8, 8)).astype(np.float32)
+wd = rng.standard_normal((5, 6, 3, 3)).astype(np.float32)
+gd = rng.standard_normal((4, 5, 8, 8)).astype(np.float32)
+
+def conv_backward(times):
+    x, w = Tensor(xd.copy(), requires_grad=True), Tensor(wd.copy(), requires_grad=True)
+    for _ in range(times):
+        x.grad = w.grad = None
+        conv2d(x, w, padding=1).backward(gd.copy())
+    return x.grad.tobytes() + w.grad.tobytes()
+
+T._WORKERS = 0
+ref = conv_backward(1)
+T._WORKERS = 3
+sys.setswitchinterval(1e-6)
+results = []
+runners = [threading.Thread(target=lambda: results.append(conv_backward(1000))) for _ in range(2)]
+for runner in runners:
+    runner.start()
+for runner in runners:
+    runner.join()
+assert results == [ref, ref]
+"""
+
+
+def test_conv_backwards_on_two_threads_at_once_complete_with_the_inline_bits():
+    # Two splits at once could fill the pool with shares that wait at their
+    # barriers for shares queued behind them: without _SPLIT_LOCK, 3 of 4
+    # pairs of 400 backwards hung.  A child process, because pool workers
+    # stuck at a barrier would keep the interpreter from exiting.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tensor_module.__file__)))
+    try:
+        done = subprocess.run([sys.executable, "-c", TWO_CALLERS], env=env,
+                              capture_output=True, text=True, timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail("two conv backwards at once hung")
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,11 @@ The package each run imported, the thread count that numpy's OpenBLAS
 reports and the ``OPENBLAS_NUM_THREADS`` the run was started with (or
 ``unset``) are printed on stderr.  ``sparseagg.tensor`` sets that OpenBLAS
 to one thread when it is imported, so the digests do not depend on
-``OPENBLAS_NUM_THREADS``; a tree from before that change gives these bits
-only at ``OPENBLAS_NUM_THREADS=1``.
+``OPENBLAS_NUM_THREADS`` (measured on OpenBLAS's SkylakeX kernel; the
+conv forward's GEMM cut relies on it, see ``tensor._WHOLE_GEMM``); a tree
+from before that change gives these bits
+only at ``OPENBLAS_NUM_THREADS=1``.  A numpy without a bundled OpenBLAS
+reports ``None`` threads and is not pinned.
 """
 
 from __future__ import annotations
