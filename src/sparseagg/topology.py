@@ -19,8 +19,6 @@ Four kinds are supported:
 from __future__ import annotations
 
 import functools
-import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +139,8 @@ def predecessors(kind: TopologyKind, layer: int) -> list[int]:
 class AggregationGraph:
     """Forward DAG over nodes ``0..num_layers-1``.
 
-    Predecessor lists are held as int32 arrays, which keeps dense graphs at
-    a few thousand layers affordable.
+    Each node's sources are held as one int32 array, in the order given;
+    dense at 4096 nodes (8.4M edges) takes 34 MB.
     """
 
     def __init__(self, num_layers: int, preds: list[np.ndarray]):
@@ -152,14 +150,19 @@ class AggregationGraph:
             raise TopologyError("one predecessor list per node required")
         self.num_layers = num_layers
         self._preds = [np.asarray(p, dtype=np.int32) for p in preds]
-        for dst, srcs in enumerate(self._preds):
-            if srcs.size and (srcs.min() < 0 or srcs.max() >= dst):
+        sizes = np.array([p.size for p in self._preds], dtype=np.int64)
+        self.num_edges = int(sizes.sum())
+        filled = np.flatnonzero(sizes)
+        if filled.size:
+            # One min and one max per non-empty node, over all sources at once.
+            flat = np.concatenate(self._preds)
+            starts = (np.cumsum(sizes) - sizes)[filled]
+            bad = np.flatnonzero((np.minimum.reduceat(flat, starts) < 0)
+                                 | (np.maximum.reduceat(flat, starts) >= filled))
+            if bad.size:
+                dst = int(filled[bad[0]])
                 raise TopologyError(f"edges into node {dst} must come from 0..{dst - 1}")
         self._succs: list[np.ndarray] | None = None
-
-    @property
-    def num_edges(self) -> int:
-        return int(sum(p.size for p in self._preds))
 
     def predecessors_of(self, node: int) -> np.ndarray:
         if not 0 <= node < self.num_layers:
@@ -177,10 +180,16 @@ class AggregationGraph:
             raise TopologyError(f"node {node} outside 0..{self.num_layers - 1}")
         return self._succs[node]
 
+    def _rows(self):
+        """Yield (dst, its sources as an ascending list) for every node with an edge in."""
+        for dst, srcs in enumerate(self._preds):
+            if srcs.size:
+                yield dst, sorted(srcs.tolist())
+
     def edges(self):
         """Yield (src, dst) sorted by (dst, src)."""
-        for dst, srcs in enumerate(self._preds):
-            for src in sorted(srcs.tolist()):
+        for dst, srcs in self._rows():
+            for src in srcs:
                 yield src, dst
 
     def edge_set(self) -> set[tuple[int, int]]:
@@ -232,27 +241,44 @@ def _fractal_graph(columns: int) -> AggregationGraph:
     return AggregationGraph(next_id, preds)
 
 
-def _hops(graph: AggregationGraph, src: int, dst: int = -1) -> np.ndarray:
-    """BFS hop counts from ``src`` (-1 where unreached); stops once ``dst`` is reached."""
+# Nodes with more sources than this take one numpy gather and min; for
+# narrower ones a Python min over the list is cheaper (numpy's fixed cost per
+# call is about 2 us, the Python min's about 50 ns per source).
+_WIDE_ROW = 32
+
+
+def _hops(graph: AggregationGraph, src: int, last: int) -> np.ndarray:
+    """Fewest forward edges from ``src`` to nodes ``0..last``; -1 where unreached and after ``last``.
+
+    Every edge runs forward, so index order is a topological order: one pass
+    over ``src+1 .. last`` sets each node to one more than the fewest hops
+    among its sources.
+    """
     if not 0 <= src < graph.num_layers:
         raise TopologyError(f"node {src} outside 0..{graph.num_layers - 1}")
-    dist = np.full(graph.num_layers, -1, dtype=np.int64)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        for nxt in graph.successors_of(node).tolist():
-            if dist[nxt] < 0:
-                dist[nxt] = dist[node] + 1
-                if nxt == dst:
-                    return dist
-                queue.append(nxt)
+    unreached = graph.num_layers  # more hops than any path has
+    near = [unreached] * graph.num_layers
+    dist = np.full(graph.num_layers, unreached, dtype=np.int64)
+    near[src] = dist[src] = 0
+    for node in range(src + 1, last + 1):
+        srcs = graph._preds[node]
+        if srcs.size > _WIDE_ROW:
+            hops = int(dist[srcs].min()) + 1
+        elif srcs.size:
+            hops = min(map(near.__getitem__, srcs.tolist())) + 1
+        else:
+            continue
+        near[node] = dist[node] = hops
+    dist[dist >= unreached] = -1
     return dist
 
 
 def gradient_path_lengths(graph: AggregationGraph, src: int) -> np.ndarray:
-    """BFS hop counts from ``src`` to every node (-1 where unreachable)."""
-    return _hops(graph, src)
+    """Fewest forward edges from ``src`` to every node (-1 where unreachable).
+
+    Found in one forward pass over the nodes after ``src``, in index order.
+    """
+    return _hops(graph, src, graph.num_layers - 1)
 
 
 def shortest_gradient_path(graph: AggregationGraph, src: int, dst: int) -> int:
@@ -272,18 +298,26 @@ def shortest_gradient_path(graph: AggregationGraph, src: int, dst: int) -> int:
 def export_dot(graph: AggregationGraph) -> str:
     """Deterministic DOT text: nodes F0..F{L-1}, edges sorted by (dst, src)."""
     lines = ["digraph aggregation {"]
-    for node in range(graph.num_layers):
-        lines.append(f"  F{node};")
-    for src, dst in graph.edges():
-        lines.append(f"  F{src} -> F{dst};")
+    lines += [f"  F{node};" for node in range(graph.num_layers)]
+    for dst, srcs in graph._rows():
+        tail = f" -> F{dst};"
+        lines.append("  F" + f"{tail}\n  F".join(map(str, srcs)) + tail)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_json(graph: AggregationGraph) -> str:
-    """Graph dump: ``{"num_layers": L, "edges": [[src, dst], ...]}``."""
-    payload = {
-        "num_layers": graph.num_layers,
-        "edges": [[src, dst] for src, dst in graph.edges()],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Graph dump: ``{"num_layers": L, "edges": [[src, dst], ...]}``.
+
+    The text is that of ``json.dumps(..., indent=2)`` plus a newline, written
+    a node at a time: with ``indent`` set, ``json`` uses its pure-Python
+    encoder, at about 2.4 us per edge.
+    """
+    head = f'{{\n  "num_layers": {graph.num_layers},\n  "edges": ['
+    rows = []
+    for dst, srcs in graph._rows():
+        tail = f",\n      {dst}\n    ]"
+        rows.append("    [\n      " + f"{tail},\n    [\n      ".join(map(str, srcs)) + tail)
+    if not rows:
+        return head + "]\n}\n"
+    return head + "\n" + ",\n".join(rows) + "\n  ]\n}\n"

@@ -34,9 +34,9 @@ def test_graph_dot_export(tmp_path, capsys):
 def test_graph_json_export(tmp_path):
     assert main(["graph", "--topology", "dense", "--layers", "6",
                  "--format", "json", "--out", str(tmp_path)]) == 0
-    obj = json.loads((tmp_path / "graph_dense_L6.json").read_text())
-    assert obj["num_layers"] == 6
-    assert len(obj["edges"]) == 15
+    text = (tmp_path / "graph_dense_L6.json").read_text()
+    edges = [[src, dst] for dst in range(6) for src in range(dst)]
+    assert text == json.dumps({"num_layers": 6, "edges": edges}, indent=2) + "\n"
 
 
 def test_run_json_records_environment(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ def test_graph_rejects_bad_num_layers():
         build_graph(Dense(), 0)
 
 
+@pytest.mark.parametrize("preds, first_bad", [
+    ([[], [0], [3], [2]], 2),        # backward edge 3 -> 2
+    ([[], [0], [0, 2], [1]], 2),     # self-edge 2 -> 2
+    ([[], [-1], [0]], 1),            # negative source
+    ([[], [0], [1], [0, 5], [9]], 3),  # two bad nodes: the first is named
+    ([[0], [0]], 0),                 # node 0 has no earlier node
+], ids=["backward", "self", "negative", "first-of-two", "into-node-0"])
+def test_graph_rejects_edges_that_do_not_run_forward(preds, first_bad):
+    arrays = [np.asarray(p, dtype=np.int32) for p in preds]
+    message = rf"^edges into node {first_bad} must come from 0\.\.{first_bad - 1}$"
+    with pytest.raises(TopologyError, match=message):
+        AggregationGraph(len(arrays), arrays)
+
+
 @given(layers=st.integers(1, 128), kind_idx=st.integers(0, len(ALL_KINDS) - 1))
 def test_edges_are_forward_and_unique(layers, kind_idx):
     g = build_graph(ALL_KINDS[kind_idx], layers)
@@ -219,25 +234,33 @@ def test_no_backward_path():
     assert shortest_gradient_path(g, 4, 4) == 0
 
 
-def _dp_distances(g: AggregationGraph, src: int) -> np.ndarray:
-    # independent oracle: relax predecessors in index order (a topological order)
-    inf = np.iinfo(np.int64).max // 2
-    dist = np.full(g.num_layers, inf, dtype=np.int64)
+def _bfs_distances(g: AggregationGraph, src: int) -> np.ndarray:
+    # independent oracle: breadth-first search over the successor lists
+    dist = np.full(g.num_layers, -1, dtype=np.int64)
     dist[src] = 0
-    for node in range(src + 1, g.num_layers):
-        for p in g.predecessors_of(node):
-            if dist[p] + 1 < dist[node]:
-                dist[node] = dist[p] + 1
-    dist[dist >= inf] = -1
+    queue = deque([src])
+    while queue:
+        node = queue.popleft()
+        for nxt in g.successors_of(node).tolist():
+            if dist[nxt] < 0:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
     return dist
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS + [Fractal(5)], ids=str)
-def test_bfs_matches_dp_oracle(kind):
-    layers = kind.num_layers if isinstance(kind, Fractal) else 96
+ORACLE_GRAPHS = [(kind, 96) for kind in ALL_KINDS] + [
+    (Fractal(5), 32), (Sparse(2), 1024), (Dense(), 256)]
+
+
+@pytest.mark.parametrize("kind, layers", ORACLE_GRAPHS, ids=lambda v: str(v))
+def test_gradient_paths_match_bfs_oracle(kind, layers):
     g = build_graph(kind, layers)
     for src in (0, 1, layers // 2):
-        assert np.array_equal(gradient_path_lengths(g, src), _dp_distances(g, src))
+        expected = _bfs_distances(g, src)
+        assert np.array_equal(gradient_path_lengths(g, src), expected)
+        last = layers - 1
+        if expected[last] >= 0:
+            assert shortest_gradient_path(g, src, last) == expected[last]
 
 
 def test_sparse2_path_bound_l1024():
@@ -293,3 +316,33 @@ def test_json_export_round_trip():
     obj = json.loads(export_json(g))
     assert obj["num_layers"] == 30
     assert {(s, d) for s, d in obj["edges"]} == g.edge_set()
+
+
+def _edges_by_dst(g: AggregationGraph) -> list[tuple[int, int]]:
+    return [(src, dst) for dst in range(g.num_layers)
+            for src in sorted(g.predecessors_of(dst).tolist())]
+
+
+EXPORT_GRAPHS = [(Plain(), 9), (Sparse(2), 40), (Sparse(3), 40), (Dense(), 24),
+                 (Fractal(4), 16), (Dense(), 1)]
+
+
+@pytest.mark.parametrize("kind, layers", EXPORT_GRAPHS, ids=lambda v: str(v))
+def test_json_export_is_json_dumps_text(kind, layers):
+    g = build_graph(kind, layers)
+    payload = {"num_layers": layers, "edges": [[s, d] for s, d in _edges_by_dst(g)]}
+    assert export_json(g) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind, layers", EXPORT_GRAPHS, ids=lambda v: str(v))
+def test_dot_export_lines(kind, layers):
+    g = build_graph(kind, layers)
+    lines = ["digraph aggregation {"]
+    lines += [f"  F{node};" for node in range(layers)]
+    lines += [f"  F{src} -> F{dst};" for src, dst in _edges_by_dst(g)]
+    lines.append("}")
+    assert export_dot(g) == "".join(line + "\n" for line in lines)
+
+
+def test_json_export_of_one_node_graph():
+    assert export_json(build_graph(Dense(), 1)) == '{\n  "num_layers": 1,\n  "edges": []\n}\n'
