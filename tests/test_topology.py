@@ -252,7 +252,7 @@ ORACLE_GRAPHS = [(kind, 96) for kind in ALL_KINDS] + [
     (Fractal(5), 32), (Sparse(2), 1024), (Dense(), 256)]
 
 
-@pytest.mark.parametrize("kind, layers", ORACLE_GRAPHS, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind, layers", ORACLE_GRAPHS, ids=str)
 def test_gradient_paths_match_bfs_oracle(kind, layers):
     g = build_graph(kind, layers)
     for src in (0, 1, layers // 2):
@@ -327,14 +327,14 @@ EXPORT_GRAPHS = [(Plain(), 9), (Sparse(2), 40), (Sparse(3), 40), (Dense(), 24),
                  (Fractal(4), 16), (Dense(), 1)]
 
 
-@pytest.mark.parametrize("kind, layers", EXPORT_GRAPHS, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind, layers", EXPORT_GRAPHS, ids=str)
 def test_json_export_is_json_dumps_text(kind, layers):
     g = build_graph(kind, layers)
     payload = {"num_layers": layers, "edges": [[s, d] for s, d in _edges_by_dst(g)]}
     assert export_json(g) == json.dumps(payload, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("kind, layers", EXPORT_GRAPHS, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind, layers", EXPORT_GRAPHS, ids=str)
 def test_dot_export_lines(kind, layers):
     g = build_graph(kind, layers)
     lines = ["digraph aggregation {"]
